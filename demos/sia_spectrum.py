@@ -15,7 +15,7 @@ from ftnsim.config import FtnConfig
 from ftnsim.core import dft, make_rng
 from ftnsim.detector import map_bits
 from ftnsim.harness import build_scenario
-from ftnsim.pilot import sia_transform
+from ftnsim.pilot import apply_projector
 
 
 def band(label, fd, comb):
@@ -31,14 +31,14 @@ def main():
     comb = np.zeros(cfg.N, bool)
     comb[:: cfg.Q] = True
 
-    s = map_bits(rng.integers(0, 2, cfg.N * 2), scenario.cons)
+    s = map_bits(rng.integers(0, 2, cfg.N * 2), cfg.sigma_s2)
     print(f"N = {cfg.N}, pilot comb = every {cfg.Q}-th bin ({cfg.P} bins)\n")
     band("pilot alone", dft(scenario.x_p), comb)
     band("raw QPSK data", dft(s), comb)
-    band("data after alignment", dft(sia_transform(s, scenario.proj)), comb)
+    band("data after alignment", dft(apply_projector(s, scenario.proj)), comb)
 
     fd_s = dft(s)
-    fd_t = dft(sia_transform(s, scenario.proj))
+    fd_t = dft(apply_projector(s, scenario.proj))
     moved = np.abs(fd_t[~comb] - fd_s[~comb]).max()
     print(f"\n  largest off-comb change from the projector: {moved:.2e}")
     print("\nAfter alignment the comb carries pilot energy only, so the")

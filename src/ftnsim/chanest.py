@@ -26,6 +26,10 @@ class IllConditionedCombError(RuntimeError):
     """A comb bin fell into a deep FTN spectral null; LS would blow up."""
 
 
+# comb bins with |gamma| below this fraction of max |gamma| are ill-conditioned
+_GAMMA_FLOOR = 1e-6
+
+
 @dataclass(frozen=True)
 class CombTables:
     """Scenario-constant comb quantities, computed once per (beta, tau, nu, N, pilot)."""
@@ -34,10 +38,9 @@ class CombTables:
     Q: int
     gamma: np.ndarray = field(repr=False)       # lambda_g' * pilot_fd'
     phi_prime: np.ndarray = field(repr=False)   # FD noise variance at comb bins
-    gamma_floor: float = 1e-6
 
     def check_conditioning(self):
-        floor = self.gamma_floor * np.abs(self.gamma).max()
+        floor = _GAMMA_FLOOR * np.abs(self.gamma).max()
         bad = np.abs(self.gamma) < floor
         if np.any(bad):
             raise IllConditionedCombError(
@@ -46,21 +49,18 @@ class CombTables:
             )
 
 
-def build_comb_tables(kernel: IsiKernel, cfg: PilotConfig,
-                      gamma_floor: float = 1e-6) -> CombTables:
+def build_comb_tables(kernel: IsiKernel, cfg: PilotConfig) -> CombTables:
     if cfg.N != kernel.N:
         raise ValueError(f"pilot N={cfg.N} != kernel N={kernel.N}")
     x_p_fd = dft(chu_pilot(cfg))
     comb = slice(0, kernel.N, cfg.Q)
     gamma = kernel.lambda_g[comb] * x_p_fd[comb]
     phi_prime = kernel.phi_diag()[comb]
-    return CombTables(P=cfg.P, Q=cfg.Q, gamma=gamma,
-                      phi_prime=phi_prime, gamma_floor=gamma_floor)
+    return CombTables(P=cfg.P, Q=cfg.Q, gamma=gamma, phi_prime=phi_prime)
 
 
 @dataclass(frozen=True)
 class ChannelEstimate:
-    d_hat: np.ndarray = field(repr=False)     # FD response at comb bins
     h_hat: np.ndarray = field(repr=False)     # recovered taps
     lambda_eq: np.ndarray = field(repr=False) # full-band FD response for FDE
 
@@ -126,8 +126,7 @@ def estimate_channel(y_tilde, tables: CombTables, L: int, N: int,
     else:
         raise ValueError(f"unknown CE criterion {criterion!r}")
     h_hat = fd_to_td(d_hat, tables.P, L)
-    return ChannelEstimate(d_hat=d_hat, h_hat=h_hat,
-                           lambda_eq=interpolate_response(h_hat, N))
+    return ChannelEstimate(h_hat=h_hat, lambda_eq=interpolate_response(h_hat, N))
 
 
 def theoretical_mse_ls(tables: CombTables, L: int, sigma_v2: float) -> float:

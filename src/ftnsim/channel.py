@@ -1,10 +1,9 @@
 """Frequency-selective Rayleigh channel, colored noise, and the transmit operator.
 
-Two transmit paths are provided: the exact banded CP/CS chain (linear
-Toeplitz products on the guard-extended block) and the fast circulant
-path (eigenvalue products via FFT).  Noise at the matched-filter output
-is colored with covariance sigma_v^2 * G, generated directly from the
-circulant factor sqrt(lambda_g).
+The CP/CS guard makes the ISI and multipath matrices circulant, so the
+transmit operator is a product of eigenvalues via FFT.  Noise at the
+matched-filter output is colored with covariance sigma_v^2 * G, generated
+directly from the circulant factor sqrt(lambda_g).
 """
 
 from __future__ import annotations
@@ -23,11 +22,6 @@ class ChannelRealization:
 
     h: np.ndarray = field(repr=False)
     lambda_h: np.ndarray = field(repr=False)
-    sigma_h2: float = 0.0
-
-    @property
-    def L(self) -> int:
-        return len(self.h)
 
 
 def sample_channel(L: int, N: int, rng, nu: int | None = None) -> ChannelRealization:
@@ -36,7 +30,11 @@ def sample_channel(L: int, N: int, rng, nu: int | None = None) -> ChannelRealiza
         raise ValueError(f"need L <= nu, got L={L}, nu={nu}")
     h = complex_gaussian(L, 1.0 / L, rng)
     h = h / np.linalg.norm(h)
-    return ChannelRealization(h=h, lambda_h=np.fft.fft(h, n=N), sigma_h2=1.0 / L)
+    return ChannelRealization(h=h, lambda_h=np.fft.fft(h, n=N))
+
+
+# eigenvalues of G below this fraction of the largest are raised to it
+_CLIP_EPS = 1e-10
 
 
 @dataclass(frozen=True)
@@ -47,12 +45,11 @@ class ColoredNoiseGen:
     sigma_v2: float = 0.0
 
     @classmethod
-    def from_kernel(cls, kernel: IsiKernel, sigma_v2: float,
-                    clip_eps: float = 1e-10) -> "ColoredNoiseGen":
+    def from_kernel(cls, kernel: IsiKernel, sigma_v2: float) -> "ColoredNoiseGen":
         if sigma_v2 < 0:
             raise ValueError("sigma_v2 must be non-negative")
         lam = kernel.lambda_g.real
-        floor = clip_eps * max(float(lam.max()), 0.0)
+        floor = _CLIP_EPS * max(float(lam.max()), 0.0)
         return cls(sqrt_lambda_g=np.sqrt(np.maximum(lam, floor)), sigma_v2=sigma_v2)
 
 
@@ -71,37 +68,6 @@ def transmit_fast(x, chan: ChannelRealization, kernel: IsiKernel, noise=None):
     if x.shape[-1] != kernel.N:
         raise ValueError(f"block length {x.shape[-1]} != N={kernel.N}")
     y = circulant_matvec(kernel.lambda_g * chan.lambda_h, x)
-    if noise is not None:
-        y = y + noise
-    return y
-
-
-def transmit_exact(x, chan: ChannelRealization, kernel: IsiKernel,
-                   guard: int | None = None, noise=None):
-    """Exact guard-extended chain: prepend/append guard symbols, run the banded
-    Toeplitz channel and ISI filters, strip the guard, add noise.
-
-    ``guard`` defaults to the kernel's nu (the CP/CS length of the block
-    design).  The output matches :func:`transmit_fast` to machine precision
-    whenever guard >= nu + L - 1; with guard = nu and L > 1 the first few
-    samples deviate by the truncation tail of g (see tests for the measured
-    regime).
-    """
-    x = np.asarray(x)
-    n = kernel.N
-    if len(x) != n:
-        raise ValueError(f"block length {len(x)} != N={n}")
-    if guard is None:
-        guard = kernel.nu
-    if guard < kernel.nu:
-        raise ValueError("guard must be >= nu for the symmetric ISI span")
-    s_cp = np.concatenate([x[n - guard:], x, x[:guard]])
-    # causal channel filter (lower-triangular Toeplitz)
-    v = np.convolve(s_cp, chan.h)[: len(s_cp)]
-    # symmetric banded ISI filter: y[m] = sum_{k=-nu}^{nu} g(k) v[m+k]
-    g_sym = np.concatenate([kernel.g[::-1], kernel.g[1:]])
-    y_ext = np.convolve(v, g_sym)[kernel.nu : kernel.nu + len(v)]
-    y = y_ext[guard : guard + n]
     if noise is not None:
         y = y + noise
     return y

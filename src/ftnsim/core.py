@@ -1,4 +1,4 @@
-"""Shared numerical primitives: unitary DFT, circulant algebra, PSD factors, RNG streams.
+"""Shared numerical primitives: unitary DFT, circulant algebra, Gaussian draws, RNG streams.
 
 Two DFT conventions coexist on purpose and must not be mixed up:
 
@@ -13,10 +13,6 @@ Every other module builds on exactly these two.
 from __future__ import annotations
 
 import numpy as np
-
-
-class NotPSDError(ValueError):
-    """Matrix handed to psd_factor has a significantly negative eigenvalue."""
 
 
 def make_rng(seed, stream=0, substream=None):
@@ -63,42 +59,6 @@ def circulant_eigenvalues(c):
 def circulant_matvec(lam, x):
     """Apply the circulant matrix with eigenvalues ``lam`` to ``x`` in O(N log N)."""
     return np.fft.ifft(lam * np.fft.fft(x, axis=-1), axis=-1)
-
-
-def circulant_dense(c):
-    """Dense circulant matrix from its first column (test/oracle helper)."""
-    c = np.asarray(c)
-    n = len(c)
-    return np.stack([np.roll(c, k) for k in range(n)], axis=1)
-
-
-def psd_factor(m, clip_eps=1e-10):
-    """Factor a Hermitian PSD matrix as B B^H, clipping tiny negative eigenvalues.
-
-    Eigenvalues below ``clip_eps * max_eig`` are raised to that floor (the
-    count of clipped ones is returned); anything below the negated threshold
-    means the input is genuinely indefinite and raises :class:`NotPSDError`.
-
-    Returns
-    -------
-    (B, n_clipped)
-    """
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("psd_factor expects a square matrix")
-    if not np.allclose(m, m.conj().T, atol=1e-10):
-        raise ValueError("psd_factor expects a Hermitian matrix")
-    w, v = np.linalg.eigh(m)
-    max_eig = max(float(w.max()), 0.0)
-    floor = clip_eps * max_eig
-    if np.any(w < -floor):
-        raise NotPSDError(
-            f"matrix is not PSD: min eigenvalue {w.min():.3e} < {-floor:.3e}"
-        )
-    n_clipped = int(np.sum(w < floor))
-    w = np.maximum(w, floor)
-    b = v * np.sqrt(w)
-    return b, n_clipped
 
 
 def complex_gaussian(n, variance, rng, shape=None):

@@ -5,7 +5,7 @@ plain LS) weights; comb bins are discarded first, which loses no data
 energy when alignment is active since the data spectrum is exactly zero
 there.  The equalized block estimates Psi s, and the detector inverts the
 singular projector by exploiting Psi^+ = Psi plus entrywise projection
-onto the constellation.
+onto the QPSK alphabet, the only modulation the config accepts.
 """
 
 from __future__ import annotations
@@ -17,62 +17,57 @@ import numpy as np
 from .pilot import SiaProjector, apply_projector
 
 
-@dataclass(frozen=True)
-class Constellation:
-    """Complex symbol alphabet with Gray bit mapping, indexed by bit pattern."""
-
-    points: np.ndarray = field(repr=False)
-    bits_per_symbol: int = 0
-    label: str = ""
-
-    @property
-    def sigma_s2(self) -> float:
-        return float(np.mean(np.abs(self.points) ** 2))
+# unit QPSK points in Gray label order 2 b0 + b1: b0 sets the I sign, b1 the Q sign
+_GRAY = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
 
 
-def qpsk(sigma_s2: float = 1.0) -> Constellation:
-    """Gray-mapped QPSK: bit b0 selects the I sign, b1 the Q sign; 00 -> (+a, +a)."""
-    a = np.sqrt(sigma_s2 / 2.0)
-    pts = np.array([a + 1j * a, a - 1j * a, -a + 1j * a, -a - 1j * a])
-    return Constellation(points=pts, bits_per_symbol=2, label="qpsk")
+def qpsk_symbols(labels, sigma_s2: float):
+    """QPSK symbols of power sigma_s2 for 2-bit Gray labels; label 0 -> (+a, +a).
+
+    A gather from the four points is one pass over the output, where sign
+    arithmetic takes several; simulate_ce_mse maps 20k x N blocks at once.
+    """
+    return (np.sqrt(sigma_s2 / 2.0) * _GRAY)[labels]
 
 
-def map_bits(bits, cons: Constellation):
-    """Bit vector (length multiple of bits_per_symbol) to symbol vector."""
-    bits = np.asarray(bits).reshape(-1, cons.bits_per_symbol)
-    idx = bits.dot(1 << np.arange(cons.bits_per_symbol - 1, -1, -1))
-    return cons.points[idx]
+def map_bits(bits, sigma_s2: float):
+    """Bit vector (even length) to QPSK symbol vector of power sigma_s2."""
+    return qpsk_symbols(np.asarray(bits).reshape(-1, 2) @ np.array([2, 1]), sigma_s2)
 
 
-def demap_bits(symbols, cons: Constellation):
-    """Exact Gray demapping; symbols must be constellation points."""
+def demap_bits(symbols):
+    """Gray demapping from the sign bits: b0 = (re < 0), b1 = (im < 0)."""
     symbols = np.asarray(symbols)
-    d = np.abs(symbols[..., None] - cons.points)
-    idx = np.argmin(d, axis=-1)
-    if np.any(np.min(d, axis=-1) > 1e-9 * np.abs(cons.points).max()):
-        raise ValueError("input contains non-constellation symbols")
-    shifts = np.arange(cons.bits_per_symbol - 1, -1, -1)
-    bits = (idx[..., None] >> shifts) & 1
-    return bits.reshape(symbols.shape[:-1] + (-1,)) if symbols.ndim > 1 \
-        else bits.reshape(-1)
+    bits = np.stack([symbols.real < 0, symbols.imag < 0], axis=-1).astype(np.int64)
+    return bits.reshape(symbols.shape[:-1] + (-1,))
 
 
-def project_nearest(v, cons: Constellation):
-    """Entrywise nearest constellation point; ties break to the smallest index."""
+def project_nearest(v, sigma_s2: float):
+    """Entrywise nearest QPSK point, slicing each component by its sign.
+
+    ``< 0`` (not ``>= 0``) decides, so +-0 and NaN go to +a, the side of
+    label 0, as in a nearest-point search that breaks ties to the lowest label.
+    """
     v = np.asarray(v)
-    d = np.abs(v[..., None] - cons.points)
-    return cons.points[np.argmin(d, axis=-1)]
+    a = np.sqrt(sigma_s2 / 2.0)
+    s = np.empty(v.shape, complex)
+    s.real = np.where(v.real < 0, -a, a)
+    s.imag = np.where(v.imag < 0, -a, a)
+    return s
+
+
+# LS bins with |gamma| below this fraction of max(|gamma|, 1) get weight 0
+_LS_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
 class EqualizerWeights:
     w: np.ndarray = field(repr=False)
-    criterion: str = "mmse"
     flagged_bins: int = 0
 
 
 def fde_weights(lambda_eq, lambda_g, phi_diag, sigma_s2_eff, sigma_v2_eff,
-                criterion="mmse", ls_floor=1e-12) -> EqualizerWeights:
+                criterion="mmse") -> EqualizerWeights:
     """Per-bin equalizer weights from Gamma_eq = diag(lambda_eq * lambda_g).
 
     MMSE whitens the colored noise through phi_diag; LS inverts each bin,
@@ -88,14 +83,14 @@ def fde_weights(lambda_eq, lambda_g, phi_diag, sigma_s2_eff, sigma_v2_eff,
             raise ValueError("MMSE weights need sigma_s2_eff > 0")
         rho = sigma_v2_eff / sigma_s2_eff
         w = np.conj(gamma) / (np.abs(gamma) ** 2 + rho * np.asarray(phi_diag))
-        return EqualizerWeights(w=w, criterion="mmse")
+        return EqualizerWeights(w=w)
     if criterion == "ls":
         mag = np.abs(gamma)
-        floor = ls_floor * max(float(mag.max()), 1.0)
+        floor = _LS_FLOOR * max(float(mag.max()), 1.0)
         bad = mag < floor
         safe = np.where(bad, floor, gamma)
         w = np.where(bad, 0.0, 1.0 / safe)
-        return EqualizerWeights(w=w, criterion="ls", flagged_bins=int(bad.sum()))
+        return EqualizerWeights(w=w, flagged_bins=int(bad.sum()))
     raise ValueError(f"unknown equalizer criterion {criterion!r}")
 
 
@@ -116,12 +111,12 @@ def equalize(z_tilde, weights: EqualizerWeights):
     return np.fft.ifft(weights.w * z_tilde, axis=-1) * np.sqrt(n)
 
 
-def ista_detect(u, proj: SiaProjector, cons: Constellation, n_iter: int = 3):
+def ista_detect(u, proj: SiaProjector, sigma_s2: float, n_iter: int = 3):
     """Iterative detection of s from u ~ Psi s.
 
     Initialization uses Psi^+ = Psi; each iteration adds the projected
     residual gradient Psi (u - Psi s_hat) and snaps entrywise to the
-    nearest constellation point.  O(N) per iteration.
+    nearest QPSK point.  O(N) per iteration.
 
     Returns (hard symbols, demapped bits).
     """
@@ -131,6 +126,6 @@ def ista_detect(u, proj: SiaProjector, cons: Constellation, n_iter: int = 3):
     s_hat = apply_projector(u, proj)
     for _ in range(n_iter):
         r = u - apply_projector(s_hat, proj)
-        s_hat = project_nearest(s_hat + apply_projector(r, proj), cons)
-    s_hat = project_nearest(s_hat, cons)
-    return s_hat, demap_bits(s_hat, cons)
+        s_hat = project_nearest(s_hat + apply_projector(r, proj), sigma_s2)
+    s_hat = project_nearest(s_hat, sigma_s2)
+    return s_hat, demap_bits(s_hat)

@@ -27,6 +27,11 @@ from .waveform import FtnParams, make_isi_kernel
 # substream tags within one trial
 _SUB_CHANNEL, _SUB_DATA, _SUB_NOISE = 0, 1, 2
 
+_BITS_PER_SYMBOL = 2  # QPSK, the only modulation the config accepts
+
+# trials per vectorized block (and per RNG key) in simulate_ce_mse
+_CE_CHUNK = 20_000
+
 
 def spectral_efficiency(cfg: FtnConfig, tau: float | None = None) -> float:
     """Spectrum efficiency in bits per Nyquist-symbol time.
@@ -37,9 +42,8 @@ def spectral_efficiency(cfg: FtnConfig, tau: float | None = None) -> float:
     """
     if tau is None:
         tau = cfg.tau
-    bps = detector.qpsk().bits_per_symbol if cfg.modulation == "qpsk" else 2
     dims = cfg.N - cfg.P if cfg.se_convention == "info_dims" else cfg.N
-    return bps * dims / ((cfg.N + 2 * cfg.nu) * tau)
+    return _BITS_PER_SYMBOL * dims / ((cfg.N + 2 * cfg.nu) * tau)
 
 
 def ebn0_to_sigma_v2(cfg: FtnConfig, ebn0_db: float, tau: float | None = None) -> float:
@@ -59,7 +63,6 @@ class Scenario:
     x_p: np.ndarray = field(repr=False)
     tables: chanest.CombTables = field(repr=False)
     proj: pilot.SiaProjector = field(repr=False)
-    cons: detector.Constellation = field(repr=False)
     comb_flagged: bool = False
 
 
@@ -78,8 +81,7 @@ def build_scenario(cfg: FtnConfig, tau: float | None = None) -> Scenario:
         flagged = True
     return Scenario(cfg=cfg, tau=tau, kernel=kernel, pilot_cfg=pcfg,
                     x_p=pilot.chu_pilot(pcfg), tables=tables,
-                    proj=pilot.SiaProjector(cfg.P, cfg.Q),
-                    cons=detector.qpsk(cfg.sigma_s2), comb_flagged=flagged)
+                    proj=pilot.SiaProjector(cfg.P, cfg.Q), comb_flagged=flagged)
 
 
 @dataclass
@@ -101,8 +103,8 @@ def run_trial(scenario: Scenario, sigma_v2: float, trial_index: int,
     rng_noise = make_rng(cfg.seed, stream, _SUB_NOISE)
 
     chan = sample_channel(cfg.L, cfg.N, rng_ch, nu=cfg.nu)
-    bits = rng_data.integers(0, 2, cfg.N * scenario.cons.bits_per_symbol)
-    s = detector.map_bits(bits, scenario.cons)
+    bits = rng_data.integers(0, 2, cfg.N * _BITS_PER_SYMBOL)
+    s = detector.map_bits(bits, cfg.sigma_s2)
     x = pilot.compose_tx(s, scenario.x_p, scenario.pilot_cfg)
 
     gen = ColoredNoiseGen.from_kernel(scenario.kernel, sigma_v2)
@@ -129,10 +131,10 @@ def run_trial(scenario: Scenario, sigma_v2: float, trial_index: int,
     u = detector.equalize(z_tilde, weights)
 
     if cfg.sia:
-        _, bits_hat = detector.ista_detect(u, scenario.proj, scenario.cons, cfg.n_ista)
+        _, bits_hat = detector.ista_detect(u, scenario.proj, cfg.sigma_s2, cfg.n_ista)
     else:
-        hard = detector.project_nearest(u, scenario.cons)
-        bits_hat = detector.demap_bits(hard, scenario.cons)
+        hard = detector.project_nearest(u, cfg.sigma_s2)
+        bits_hat = detector.demap_bits(hard)
 
     return TrialResult(
         bit_errors=int(np.sum(bits != bits_hat)),
@@ -291,7 +293,7 @@ def emit_results(table: SweepTable, fmt: str = "csv", path: str = "results",
 
 def simulate_ce_mse(cfg: FtnConfig, tau: float, sigma_v2: float, n_trials: int,
                     criteria=("ls", "mmse"), sigma_s2: float | None = None,
-                    seed: int | None = None, chunk: int = 20_000):
+                    seed: int | None = None):
     """Vectorized CE-only Monte Carlo through the full transmit chain.
 
     Runs every requested estimator on the same channel / data / noise
@@ -306,7 +308,6 @@ def simulate_ce_mse(cfg: FtnConfig, tau: float, sigma_v2: float, n_trials: int,
     scenario = build_scenario(cfg, tau)
     kernel = scenario.kernel
     n, L, Q = cfg.N, cfg.L, cfg.Q
-    cons = detector.qpsk(sigma_s2)
     # pilot power follows the configured (not the swept) data power
     gen = ColoredNoiseGen.from_kernel(kernel, sigma_v2)
 
@@ -315,7 +316,7 @@ def simulate_ce_mse(cfg: FtnConfig, tau: float, sigma_v2: float, n_trials: int,
     done = 0
     chunk_idx = 0
     while done < n_trials:
-        b = min(chunk, n_trials - done)
+        b = min(_CE_CHUNK, n_trials - done)
         rng_h = make_rng(seed, chunk_idx, _SUB_CHANNEL)
         rng_s = make_rng(seed, chunk_idx, _SUB_DATA)
         rng_w = make_rng(seed, chunk_idx, _SUB_NOISE)
@@ -324,8 +325,8 @@ def simulate_ce_mse(cfg: FtnConfig, tau: float, sigma_v2: float, n_trials: int,
         h /= np.linalg.norm(h, axis=1, keepdims=True)
         lam_h = np.fft.fft(h, n=n, axis=-1)
 
-        idx = rng_s.integers(0, len(cons.points), size=(b, n))
-        s = cons.points[idx]
+        idx = rng_s.integers(0, 4, size=(b, n))
+        s = detector.qpsk_symbols(idx, sigma_s2)
         x = pilot.compose_tx(s, scenario.x_p, scenario.pilot_cfg)
 
         eta = colored_noise(gen, rng_w, trials=b)
@@ -334,7 +335,7 @@ def simulate_ce_mse(cfg: FtnConfig, tau: float, sigma_v2: float, n_trials: int,
 
         for crit in criteria:
             if crit == "ls":
-                d_hat = comb / scenario.tables.gamma
+                d_hat = chanest.ce_ls(comb, scenario.tables)
             else:
                 d_hat = chanest.ce_mmse(comb, scenario.tables, sigma_v2, 1.0 / L)
             h_hat = chanest.fd_to_td(d_hat, cfg.P, L)

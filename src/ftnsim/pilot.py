@@ -11,7 +11,6 @@ without ever being materialized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
@@ -28,7 +27,6 @@ class PilotConfig:
     Q: int
     sigma_p2: float
     sia_enabled: bool = True
-    root: int = 1
 
     def __post_init__(self):
         if self.P < 1 or self.Q < 1:
@@ -37,8 +35,6 @@ class PilotConfig:
             raise ValueError("alignment needs Q >= 2 (Q = 1 would annihilate all data)")
         if self.sigma_p2 < 0:
             raise ValueError("sigma_p2 must be non-negative")
-        if gcd(self.root, self.P) != 1:
-            raise ValueError(f"Chu root {self.root} must be co-prime with P={self.P}")
 
     @property
     def N(self) -> int:
@@ -50,19 +46,19 @@ def sia_pilot_power(sigma_s2: float, Q: int) -> float:
     return (1.0 - 1.0 / Q) * sigma_s2
 
 
-def chu_sequence(P: int, root: int = 1) -> np.ndarray:
-    """Unit-modulus Chu sequence of length P (flat DFT magnitude)."""
+def chu_sequence(P: int) -> np.ndarray:
+    """Unit-modulus root-1 Chu sequence of length P (flat DFT magnitude)."""
     n = np.arange(P)
     if P % 2 == 0:
-        phase = np.pi * root * n**2 / P
+        phase = np.pi * n**2 / P
     else:
-        phase = np.pi * root * n * (n + 1) / P
+        phase = np.pi * n * (n + 1) / P
     return np.exp(1j * phase)
 
 
 def chu_pilot(cfg: PilotConfig) -> np.ndarray:
     """Q-fold repetition of one Chu sequence, scaled to per-symbol power sigma_p2."""
-    c = np.sqrt(cfg.sigma_p2) * chu_sequence(cfg.P, cfg.root)
+    c = np.sqrt(cfg.sigma_p2) * chu_sequence(cfg.P)
     return np.tile(c, cfg.Q)
 
 
@@ -77,11 +73,6 @@ class SiaProjector:
     def N(self) -> int:
         return self.P * self.Q
 
-    def dense(self) -> np.ndarray:
-        """Materialize Psi (test helper; O(N^2))."""
-        j = np.kron(np.ones((self.Q, self.Q)) / self.Q, np.eye(self.P))
-        return np.eye(self.N) - j
-
 
 def cyclic_mean(v, proj: SiaProjector):
     """J v: per-residue-class mean over the Q period-P segments, tiled back."""
@@ -94,18 +85,13 @@ def cyclic_mean(v, proj: SiaProjector):
 
 
 def apply_projector(v, proj: SiaProjector):
-    """Psi v = v - J v in O(N)."""
+    """Psi v = v - J v in O(N); on data it zeroes the spectrum on bins k = iQ."""
     return np.asarray(v) - cyclic_mean(v, proj)
-
-
-def sia_transform(s, proj: SiaProjector):
-    """Alignment transform (I - J) s: zeroes the data spectrum on bins k = iQ."""
-    return apply_projector(s, proj)
 
 
 def compose_tx(s, x_p, cfg: PilotConfig):
     """Transmit block: (I - J) s + x_p with alignment on, s + x_p otherwise."""
     s = np.asarray(s)
     if cfg.sia_enabled:
-        s = sia_transform(s, SiaProjector(cfg.P, cfg.Q))
+        s = apply_projector(s, SiaProjector(cfg.P, cfg.Q))
     return s + np.asarray(x_p)

@@ -2,9 +2,9 @@
 
 The matched-filter autocorrelation of an RRC pulse is the raised-cosine
 pulse; sampling it at the compressed interval tau*T0 yields the ISI taps
-g(nT).  From those we build the banded Toeplitz ISI matrix (the linear
-model) and its circulant counterpart with eigenvalues lambda_g (the
-CP/CS-assisted model that the frequency-domain receiver relies on).
+g(nT).  From those we build the circulant ISI matrix with eigenvalues
+lambda_g (the CP/CS-assisted model that the frequency-domain receiver
+relies on).
 """
 
 from __future__ import annotations
@@ -62,24 +62,14 @@ def isi_taps(params: FtnParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IsiKernel:
-    """Sampled ISI kernel plus its Toeplitz/circulant matrices and eigenvalues."""
+    """Eigenvalues of the circulant ISI matrix for one waveform."""
 
     params: FtnParams
-    g: np.ndarray = field(repr=False)               # g(nT), n = 0..nu
-    g_circ_first_col: np.ndarray = field(repr=False)
     lambda_g: np.ndarray = field(repr=False)
-
-    @property
-    def nu(self) -> int:
-        return self.params.nu
 
     @property
     def N(self) -> int:
         return self.params.N
-
-    def toeplitz(self) -> np.ndarray:
-        """Dense symmetric banded Toeplitz ISI matrix (O(N^2) memory)."""
-        return build_isi_toeplitz(self.params)
 
     def phi_diag(self) -> np.ndarray:
         """Diagonal of the FD colored-noise covariance, clipped to >= 0.
@@ -91,21 +81,8 @@ class IsiKernel:
 
 
 def make_isi_kernel(params: FtnParams) -> IsiKernel:
-    first_col, lam = build_isi_circulant(params)
-    return IsiKernel(params=params, g=isi_taps(params),
-                     g_circ_first_col=first_col, lambda_g=lam)
-
-
-def build_isi_toeplitz(params: FtnParams) -> np.ndarray:
-    """Symmetric banded Toeplitz G with first column [g(0),...,g(nu T),0,...,0]."""
-    g = isi_taps(params)
-    n = params.N
-    mat = np.zeros((n, n))
-    idx = np.arange(n)
-    lag = np.abs(idx[:, None] - idx[None, :])
-    mask = lag <= params.nu
-    mat[mask] = g[lag[mask]]
-    return mat
+    _, lam = build_isi_circulant(params)
+    return IsiKernel(params=params, lambda_g=lam)
 
 
 def build_isi_circulant(params: FtnParams):

@@ -62,7 +62,7 @@ class TestLs:
     def test_flat_channel(self, scenario):
         chan = sample_channel(8, 128, make_rng(3))
         chan = type(chan)(h=np.eye(8)[0].astype(complex),
-                          lambda_h=np.ones(128, complex), sigma_h2=1 / 8)
+                          lambda_h=np.ones(128, complex))
         y_fd = received_fd(scenario, chan, make_rng(4))
         d_hat = ce_ls(extract_comb(y_fd, 8, 16), scenario.tables)
         np.testing.assert_allclose(d_hat, np.ones(8), atol=1e-10)
@@ -78,6 +78,12 @@ class TestLs:
                                     phi_prime=np.ones(4))
         with pytest.raises(IllConditionedCombError):
             ce_ls(np.ones(4), tables)
+
+    def test_monte_carlo_ls_rejects_null_comb(self):
+        # tau=0.5, beta=1.0 puts a comb bin on the FTN spectral null
+        cfg = FtnConfig(tau=0.5, beta=1.0)
+        with pytest.raises(IllConditionedCombError):
+            simulate_ce_mse(cfg, 0.5, 0.1, 100, criteria=("ls",))
 
 
 class TestMmse:

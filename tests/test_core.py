@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftnsim.core import (NotPSDError, circulant_dense, circulant_eigenvalues,
-                         complex_gaussian, dft, idft, make_rng, psd_factor)
-from ftnsim.waveform import FtnParams, build_isi_toeplitz
+from ftnsim.core import circulant_eigenvalues, complex_gaussian, dft, idft, make_rng
+from ftnsim.waveform import FtnParams
+from oracles import NotPSDError, build_isi_toeplitz, circulant_dense, psd_factor
 
 
 def random_complex(rng, n):

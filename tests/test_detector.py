@@ -5,45 +5,54 @@ from ftnsim.channel import sample_channel, transmit_fast
 from ftnsim.config import FtnConfig
 from ftnsim.core import dft, make_rng
 from ftnsim.detector import (demap_bits, equalize, fde_weights, ista_detect,
-                             map_bits, project_nearest, qpsk, zero_pilot_bins)
+                             map_bits, project_nearest, zero_pilot_bins)
 from ftnsim.harness import build_scenario
 from ftnsim.pilot import SiaProjector, apply_projector, compose_tx
+
+
+def qpsk_points(sigma_s2=1.0):
+    """The four QPSK points in bit-pattern order 00, 01, 10, 11."""
+    return map_bits([0, 0, 0, 1, 1, 0, 1, 1], sigma_s2)
 
 
 class TestConstellation:
     def test_power(self):
         for s2 in (0.5, 1.0, 4.0):
-            assert qpsk(s2).sigma_s2 == pytest.approx(s2, abs=1e-12)
+            assert np.mean(np.abs(qpsk_points(s2)) ** 2) == pytest.approx(s2, abs=1e-12)
 
     def test_gray_adjacency(self):
-        cons = qpsk()
-        for i, p in enumerate(cons.points):
-            for j, q in enumerate(cons.points):
+        points = qpsk_points()
+        for i, p in enumerate(points):
+            for j, q in enumerate(points):
                 if abs(abs(p - q) - np.sqrt(2)) < 1e-9:  # nearest neighbors
                     assert bin(i ^ j).count("1") == 1
 
     def test_convention_fixture(self):
-        cons = qpsk()
         a = np.sqrt(0.5)
         sym = np.array([a + 1j * a])
-        np.testing.assert_array_equal(demap_bits(sym, cons), [0, 0])
+        np.testing.assert_array_equal(demap_bits(sym), [0, 0])
 
     def test_map_demap_round_trip(self):
-        cons = qpsk()
         np.testing.assert_array_equal(
-            demap_bits(cons.points, cons), [0, 0, 0, 1, 1, 0, 1, 1])
+            demap_bits(qpsk_points()), [0, 0, 0, 1, 1, 0, 1, 1])
 
     def test_random_round_trip(self):
-        cons = qpsk()
         rng = make_rng(1)
         for _ in range(100):
             bits = rng.integers(0, 2, 200)
-            np.testing.assert_array_equal(demap_bits(map_bits(bits, cons), cons),
-                                          bits)
+            np.testing.assert_array_equal(demap_bits(map_bits(bits, 1.0)), bits)
 
-    def test_non_constellation_rejected(self):
-        with pytest.raises(ValueError):
-            demap_bits(np.array([0.3 + 0.1j]), qpsk())
+    def test_sign_slicer_matches_nearest_point_search(self, rng):
+        # +-0 ties every point; the search breaks ties to label 0, as must the slicer
+        v = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)
+        v[:4] = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0)]
+        points = qpsk_points(2.0)
+        nearest = points[np.argmin(np.abs(v[:, None] - points), axis=1)]
+        np.testing.assert_array_equal(project_nearest(v, 2.0), nearest)
+
+    def test_nan_slices_to_label_zero(self):
+        sym = project_nearest(np.array([complex(np.nan, np.nan)]), 1.0)
+        np.testing.assert_array_equal(sym, qpsk_points()[:1])
 
 
 class TestFdeWeights:
@@ -102,7 +111,7 @@ class TestZeroPilotBins:
         # removed energy is pilot-only in the noise-free case
         scenario = build_scenario(FtnConfig())
         rng = make_rng(2)
-        s = map_bits(rng.integers(0, 2, 256), scenario.cons)
+        s = map_bits(rng.integers(0, 2, 256), scenario.cfg.sigma_s2)
         x = compose_tx(s, scenario.x_p, scenario.pilot_cfg)
         fd = dft(x)
         pilot_fd = dft(scenario.x_p)
@@ -126,7 +135,7 @@ class TestEqualize:
         scenario = build_scenario(FtnConfig())
         rng = make_rng(3)
         chan = sample_channel(8, 128, rng, nu=10)
-        s = map_bits(rng.integers(0, 2, 256), scenario.cons)
+        s = map_bits(rng.integers(0, 2, 256), scenario.cfg.sigma_s2)
         x = compose_tx(s, scenario.x_p, scenario.pilot_cfg)
         y_fd = dft(transmit_fast(x, chan, scenario.kernel))
         w = fde_weights(chan.lambda_h, scenario.kernel.lambda_g,
@@ -143,7 +152,7 @@ class TestEqualize:
         scenario = build_scenario(FtnConfig())
         rng = make_rng(4)
         chan = sample_channel(8, 128, rng, nu=10)
-        s = map_bits(rng.integers(0, 2, 256), scenario.cons)
+        s = map_bits(rng.integers(0, 2, 256), scenario.cfg.sigma_s2)
         y = transmit_fast(s, chan, scenario.kernel)
         w = fde_weights(chan.lambda_h, scenario.kernel.lambda_g,
                         scenario.kernel.phi_diag(), 1.0, 0.0, "mmse")
@@ -154,59 +163,54 @@ class TestEqualize:
 class TestIstaDetect:
     def test_zero_iterations_is_projected_init(self):
         proj = SiaProjector(P=2, Q=4)
-        cons = qpsk()
         rng = make_rng(5)
         u = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        sym, _ = ista_detect(u, proj, cons, n_iter=0)
+        sym, _ = ista_detect(u, proj, 1.0, n_iter=0)
         np.testing.assert_array_equal(sym,
-                                      project_nearest(apply_projector(u, proj), cons))
+                                      project_nearest(apply_projector(u, proj), 1.0))
 
     def test_recovers_clean_blocks(self):
         proj = SiaProjector(P=8, Q=16)
-        cons = qpsk()
         rng = make_rng(6)
         ok = 0
         for _ in range(200):
             bits = rng.integers(0, 2, 256)
-            s = map_bits(bits, cons)
+            s = map_bits(bits, 1.0)
             u = apply_projector(s, proj)
-            _, bits_hat = ista_detect(u, proj, cons, 3)
+            _, bits_hat = ista_detect(u, proj, 1.0, 3)
             ok += np.array_equal(bits, bits_hat)
         assert ok >= 198  # residue-class sign ambiguity is rare at Q=16
 
     def test_fixed_point(self):
         proj = SiaProjector(P=4, Q=8)
-        cons = qpsk()
         rng = make_rng(7)
-        s = map_bits(rng.integers(0, 2, 64), cons)
+        s = map_bits(rng.integers(0, 2, 64), 1.0)
         u = apply_projector(s, proj)
-        sym3, _ = ista_detect(u, proj, cons, 3)
-        sym9, _ = ista_detect(u, proj, cons, 9)
+        sym3, _ = ista_detect(u, proj, 1.0, 3)
+        sym9, _ = ista_detect(u, proj, 1.0, 9)
         np.testing.assert_array_equal(sym3, sym9)
 
     def test_outputs_are_constellation_points(self):
         proj = SiaProjector(P=4, Q=8)
-        cons = qpsk()
         rng = make_rng(8)
         u = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        sym, _ = ista_detect(u, proj, cons, 3)
-        d = np.abs(sym[:, None] - cons.points[None, :]).min(axis=1)
+        sym, _ = ista_detect(u, proj, 1.0, 3)
+        d = np.abs(sym[:, None] - qpsk_points()[None, :]).min(axis=1)
         assert d.max() < 1e-12
 
     def test_residual_nonincreasing(self):
         proj = SiaProjector(P=8, Q=16)
-        cons = qpsk()
         rng = make_rng(9)
         good = 0
         trials = 200
         for _ in range(trials):
-            s = map_bits(rng.integers(0, 2, 256), cons)
+            s = map_bits(rng.integers(0, 2, 256), 1.0)
             u = apply_projector(s, proj)
             s_hat = apply_projector(u, proj)
             res = [np.linalg.norm(u - apply_projector(s_hat, proj))]
             for _ in range(3):
                 r = u - apply_projector(s_hat, proj)
-                s_hat = project_nearest(s_hat + apply_projector(r, proj), cons)
+                s_hat = project_nearest(s_hat + apply_projector(r, proj), 1.0)
                 res.append(np.linalg.norm(u - apply_projector(s_hat, proj)))
             good += all(b <= a + 1e-12 for a, b in zip(res, res[1:]))
         assert good >= 0.99 * trials

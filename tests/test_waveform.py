@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from ftnsim.core import circulant_dense, dft
-from ftnsim.waveform import (FtnParams, build_isi_circulant, build_isi_toeplitz,
-                             isi_taps, make_isi_kernel, rc_autocorrelation)
+from ftnsim.waveform import FtnParams, build_isi_circulant, isi_taps, rc_autocorrelation
+from oracles import build_isi_toeplitz, circulant_dense
 
 # frozen quadrature oracle output (Simpson, step T0/512, support +-32 T0)
 G1_TAU08_BETA05 = 0.20075170968351677
