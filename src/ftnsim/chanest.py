@@ -90,7 +90,10 @@ def mmse_weights(tables: CombTables, sigma_v2: float, sigma_h2: float) -> np.nda
         raise ValueError("need sigma_v2 >= 0 and sigma_h2 > 0")
     g = tables.gamma
     rho = sigma_v2 / (sigma_h2 * tables.P)
-    return np.conj(g) / (np.abs(g) ** 2 + rho * tables.phi_prime)
+    num = np.conj(g)
+    den = np.abs(g) ** 2 + rho * tables.phi_prime
+    # a comb bin in an exact spectral null (gamma = phi' = 0) gets weight 0
+    return np.divide(num, den, out=np.zeros_like(num), where=den != 0)
 
 
 def ce_mmse(y_prime, tables: CombTables, sigma_v2: float, sigma_h2: float):
@@ -146,7 +149,8 @@ def theoretical_mse_mmse(tables: CombTables, L: int, sigma_v2: float,
     Evaluates (L/P^2) Tr{R_d - 2 Re(W Gamma R_d) + W (Gamma R_d Gamma^H
     + sigma_v2 Phi') W^H} at the diagonal MMSE weights, with the prior
     R_d = sigma_h2 * P * I.  Exact for L = P; for L < P the white prior
-    is an approximation.
+    is an approximation.  A bin in an exact spectral null has weight 0 and
+    so counts at its prior error r.
     """
     if sigma_h2 is None:
         sigma_h2 = 1.0 / L

@@ -37,6 +37,13 @@ def sample_channel(L: int, N: int, rng, nu: int | None = None) -> ChannelRealiza
 _CLIP_EPS = 1e-10
 
 
+def noise_factor(kernel: IsiKernel) -> np.ndarray:
+    """sqrt(lambda_g), the circulant factor B of G = B B^H, with clipped eigenvalues."""
+    lam = kernel.lambda_g.real
+    floor = _CLIP_EPS * max(float(lam.max()), 0.0)
+    return np.sqrt(np.maximum(lam, floor))
+
+
 @dataclass(frozen=True)
 class ColoredNoiseGen:
     """Generator state for noise with covariance sigma_v2 * circulant(G)."""
@@ -44,13 +51,13 @@ class ColoredNoiseGen:
     sqrt_lambda_g: np.ndarray = field(repr=False)
     sigma_v2: float = 0.0
 
+    def __post_init__(self):
+        if self.sigma_v2 < 0:
+            raise ValueError("sigma_v2 must be non-negative")
+
     @classmethod
     def from_kernel(cls, kernel: IsiKernel, sigma_v2: float) -> "ColoredNoiseGen":
-        if sigma_v2 < 0:
-            raise ValueError("sigma_v2 must be non-negative")
-        lam = kernel.lambda_g.real
-        floor = _CLIP_EPS * max(float(lam.max()), 0.0)
-        return cls(sqrt_lambda_g=np.sqrt(np.maximum(lam, floor)), sigma_v2=sigma_v2)
+        return cls(sqrt_lambda_g=noise_factor(kernel), sigma_v2=sigma_v2)
 
 
 def colored_noise(gen: ColoredNoiseGen, rng, trials: int | None = None) -> np.ndarray:

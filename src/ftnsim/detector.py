@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pilot import SiaProjector, apply_projector
+from .pilot import SiaProjector, apply_projector, cyclic_mean
 
 
 # unit QPSK points in Gray label order 2 b0 + b1: b0 sets the I sign, b1 the Q sign
@@ -32,14 +32,18 @@ def qpsk_symbols(labels, sigma_s2: float):
 
 def map_bits(bits, sigma_s2: float):
     """Bit vector (even length) to QPSK symbol vector of power sigma_s2."""
-    return qpsk_symbols(np.asarray(bits).reshape(-1, 2) @ np.array([2, 1]), sigma_s2)
+    bits = np.asarray(bits)
+    return qpsk_symbols(2 * bits[..., 0::2] + bits[..., 1::2], sigma_s2)
 
 
 def demap_bits(symbols):
-    """Gray demapping from the sign bits: b0 = (re < 0), b1 = (im < 0)."""
-    symbols = np.asarray(symbols)
-    bits = np.stack([symbols.real < 0, symbols.imag < 0], axis=-1).astype(np.int64)
-    return bits.reshape(symbols.shape[:-1] + (-1,))
+    """Gray demapping from the sign bits: b0 = (re < 0), b1 = (im < 0).
+
+    The float view interleaves re, im per symbol, which is already the bit
+    order b0, b1, so one comparison demaps the whole block.
+    """
+    symbols = np.ascontiguousarray(symbols, dtype=complex)
+    return (symbols.view(np.float64) < 0).astype(np.int64)
 
 
 def project_nearest(v, sigma_s2: float):
@@ -47,13 +51,11 @@ def project_nearest(v, sigma_s2: float):
 
     ``< 0`` (not ``>= 0``) decides, so +-0 and NaN go to +a, the side of
     label 0, as in a nearest-point search that breaks ties to the lowest label.
+    Both components are sliced in one pass over the float view.
     """
-    v = np.asarray(v)
+    v = np.ascontiguousarray(v, dtype=complex)
     a = np.sqrt(sigma_s2 / 2.0)
-    s = np.empty(v.shape, complex)
-    s.real = np.where(v.real < 0, -a, a)
-    s.imag = np.where(v.imag < 0, -a, a)
-    return s
+    return np.where(v.view(np.float64) < 0, -a, a).view(complex)
 
 
 # LS bins with |gamma| below this fraction of max(|gamma|, 1) get weight 0
@@ -82,7 +84,10 @@ def fde_weights(lambda_eq, lambda_g, phi_diag, sigma_s2_eff, sigma_v2_eff,
         if sigma_s2_eff == 0:
             raise ValueError("MMSE weights need sigma_s2_eff > 0")
         rho = sigma_v2_eff / sigma_s2_eff
-        w = np.conj(gamma) / (np.abs(gamma) ** 2 + rho * np.asarray(phi_diag))
+        num = np.conj(gamma)
+        den = np.abs(gamma) ** 2 + rho * np.asarray(phi_diag)
+        # a bin with neither signal nor noise (0/0) gets weight 0
+        w = np.divide(num, den, out=np.zeros_like(num), where=den != 0)
         return EqualizerWeights(w=w)
     if criterion == "ls":
         mag = np.abs(gamma)
@@ -116,16 +121,17 @@ def ista_detect(u, proj: SiaProjector, sigma_s2: float, n_iter: int = 3):
 
     Initialization uses Psi^+ = Psi; each iteration adds the projected
     residual gradient Psi (u - Psi s_hat) and snaps entrywise to the
-    nearest QPSK point.  O(N) per iteration.
+    nearest QPSK point.  Psi is idempotent, so that step
+    s + Psi (u - Psi s) equals Psi u + J s: one cyclic mean per iteration
+    on top of the fixed Psi u.  O(N) per iteration.
 
     Returns (hard symbols, demapped bits).
     """
-    u = np.asarray(u)
     if n_iter < 0:
         raise ValueError("n_iter must be >= 0")
-    s_hat = apply_projector(u, proj)
+    psi_u = apply_projector(u, proj)
+    s_hat = psi_u
     for _ in range(n_iter):
-        r = u - apply_projector(s_hat, proj)
-        s_hat = project_nearest(s_hat + apply_projector(r, proj), sigma_s2)
+        s_hat = project_nearest(psi_u + cyclic_mean(s_hat, proj), sigma_s2)
     s_hat = project_nearest(s_hat, sigma_s2)
     return s_hat, demap_bits(s_hat)

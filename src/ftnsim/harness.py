@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import chanest, detector, pilot
-from .channel import ColoredNoiseGen, colored_noise, sample_channel, transmit_fast
+from .channel import (ColoredNoiseGen, colored_noise, noise_factor, sample_channel,
+                      transmit_fast)
 from .config import FtnConfig, as_dict, scenario_hash
 from .core import circulant_matvec, complex_gaussian, dft, make_rng
 from .waveform import FtnParams, make_isi_kernel
@@ -63,6 +64,8 @@ class Scenario:
     x_p: np.ndarray = field(repr=False)
     tables: chanest.CombTables = field(repr=False)
     proj: pilot.SiaProjector = field(repr=False)
+    noise_factor: np.ndarray = field(repr=False)   # clipped sqrt(lambda_g)
+    phi_diag: np.ndarray = field(repr=False)
     comb_flagged: bool = False
 
 
@@ -81,7 +84,9 @@ def build_scenario(cfg: FtnConfig, tau: float | None = None) -> Scenario:
         flagged = True
     return Scenario(cfg=cfg, tau=tau, kernel=kernel, pilot_cfg=pcfg,
                     x_p=pilot.chu_pilot(pcfg), tables=tables,
-                    proj=pilot.SiaProjector(cfg.P, cfg.Q), comb_flagged=flagged)
+                    proj=pilot.SiaProjector(cfg.P, cfg.Q),
+                    noise_factor=noise_factor(kernel), phi_diag=kernel.phi_diag(),
+                    comb_flagged=flagged)
 
 
 @dataclass
@@ -107,7 +112,7 @@ def run_trial(scenario: Scenario, sigma_v2: float, trial_index: int,
     s = detector.map_bits(bits, cfg.sigma_s2)
     x = pilot.compose_tx(s, scenario.x_p, scenario.pilot_cfg)
 
-    gen = ColoredNoiseGen.from_kernel(scenario.kernel, sigma_v2)
+    gen = ColoredNoiseGen(scenario.noise_factor, sigma_v2)
     y = transmit_fast(x, chan, scenario.kernel, noise=colored_noise(gen, rng_noise))
     y_tilde = dft(y)
 
@@ -124,7 +129,7 @@ def run_trial(scenario: Scenario, sigma_v2: float, trial_index: int,
 
     scale = (1.0 - 1.0 / cfg.Q) if cfg.sia else 1.0
     weights = detector.fde_weights(
-        lambda_eq, scenario.kernel.lambda_g, scenario.kernel.phi_diag(),
+        lambda_eq, scenario.kernel.lambda_g, scenario.phi_diag,
         sigma_s2_eff=scale * cfg.sigma_s2, sigma_v2_eff=scale * sigma_v2,
         criterion=cfg.eq_criterion)
     z_tilde = detector.zero_pilot_bins(y_tilde, cfg.P, cfg.Q)
@@ -137,7 +142,7 @@ def run_trial(scenario: Scenario, sigma_v2: float, trial_index: int,
         bits_hat = detector.demap_bits(hard)
 
     return TrialResult(
-        bit_errors=int(np.sum(bits != bits_hat)),
+        bit_errors=int(np.count_nonzero(bits != bits_hat)),
         n_bits=len(bits),
         sq_err=sq_err,
         tx_power=float(np.mean(np.abs(x) ** 2)),
@@ -309,7 +314,7 @@ def simulate_ce_mse(cfg: FtnConfig, tau: float, sigma_v2: float, n_trials: int,
     kernel = scenario.kernel
     n, L, Q = cfg.N, cfg.L, cfg.Q
     # pilot power follows the configured (not the swept) data power
-    gen = ColoredNoiseGen.from_kernel(kernel, sigma_v2)
+    gen = ColoredNoiseGen(scenario.noise_factor, sigma_v2)
 
     sums = {c: 0.0 for c in criteria}
     sumsqs = {c: 0.0 for c in criteria}

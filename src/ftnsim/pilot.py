@@ -75,13 +75,19 @@ class SiaProjector:
 
 
 def cyclic_mean(v, proj: SiaProjector):
-    """J v: per-residue-class mean over the Q period-P segments, tiled back."""
+    """J v: per-residue-class mean over the Q period-P segments, tiled back.
+
+    The sum and the in-place divide are the ufunc calls ``np.mean`` makes on
+    float and complex input, so the bits match it without its dispatch cost;
+    ``repeat`` tiles in C where ``broadcast_to`` costs more than the mean.
+    """
     v = np.asarray(v)
     if v.shape[-1] != proj.N:
         raise ValueError(f"length {v.shape[-1]} != P*Q = {proj.N}")
     segs = v.reshape(*v.shape[:-1], proj.Q, proj.P)
-    mean = segs.mean(axis=-2, keepdims=True)
-    return np.broadcast_to(mean, segs.shape).reshape(v.shape)
+    mean = np.add.reduce(segs, axis=-2, keepdims=True)
+    mean /= proj.Q
+    return mean.repeat(proj.Q, axis=-2).reshape(v.shape)
 
 
 def apply_projector(v, proj: SiaProjector):

@@ -1,14 +1,16 @@
 """Dense and direct-form reference implementations the tests compare against.
 
-None of these runs in the simulator: they materialize O(N^2) matrices or
-run the linear (non-circulant) chain, so that the FFT-based library code
-can be checked against an independent construction.
+None of these runs in the simulator: they materialize O(N^2) matrices, run
+the linear (non-circulant) chain, or spell out as written a step the
+library computes in a faster form, so that the library code can be
+checked against an independent construction.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ftnsim.pilot import SiaProjector, apply_projector
 from ftnsim.waveform import FtnParams, IsiKernel, isi_taps
 
 
@@ -99,3 +101,35 @@ def transmit_exact(x, chan, kernel: IsiKernel, guard: int | None = None, noise=N
     if noise is not None:
         y = y + noise
     return y
+
+
+def slice_reference(v, sigma_s2: float):
+    """QPSK sign slicer with one np.where per component: < 0 -> -a, else +a."""
+    v = np.asarray(v)
+    a = np.sqrt(sigma_s2 / 2.0)
+    s = np.empty(v.shape, complex)
+    s.real = np.where(v.real < 0, -a, a)
+    s.imag = np.where(v.imag < 0, -a, a)
+    return s
+
+
+def demap_reference(symbols):
+    """Gray sign-bit demapper that stacks (re < 0, im < 0) per symbol."""
+    symbols = np.asarray(symbols)
+    bits = np.stack([symbols.real < 0, symbols.imag < 0], axis=-1).astype(np.int64)
+    return bits.reshape(symbols.shape[:-1] + (-1,))
+
+
+def ista_reference(u, proj: SiaProjector, sigma_s2: float, n_iter: int):
+    """ISTA iterates as written, two projections per step: s + Psi (u - Psi s), sliced.
+
+    Returns [Psi u, s_1, ..., s_n_iter]; the detector's decision is the
+    slice of the last one.
+    """
+    s_hat = apply_projector(u, proj)
+    iterates = [s_hat]
+    for _ in range(n_iter):
+        r = u - apply_projector(s_hat, proj)
+        s_hat = slice_reference(s_hat + apply_projector(r, proj), sigma_s2)
+        iterates.append(s_hat)
+    return iterates

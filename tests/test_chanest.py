@@ -4,7 +4,7 @@ import pytest
 from ftnsim import chanest
 from ftnsim.chanest import (IllConditionedCombError, build_comb_tables, ce_ls,
                             ce_mmse, estimate_channel, extract_comb, fd_to_td,
-                            interpolate_response, theoretical_mse_ls,
+                            interpolate_response, mmse_weights, theoretical_mse_ls,
                             theoretical_mse_mmse)
 from ftnsim.channel import ColoredNoiseGen, colored_noise, sample_channel, transmit_fast
 from ftnsim.config import FtnConfig
@@ -104,6 +104,18 @@ class TestMmse:
         sv2 = ebn0_to_sigma_v2(cfg, 6.0)
         res = simulate_ce_mse(cfg, 0.8, sv2, 10_000, seed=100)
         assert res["mmse"][0] <= res["ls"][0]
+
+    def test_null_comb_bin_is_finite_and_matches_theory(self):
+        # tau=0.5, beta=1.0 puts comb bin 4 on the FTN spectral null, where
+        # gamma = phi' = 0: its weight is 0 and its tap error the prior's
+        cfg = FtnConfig(tau=0.5, beta=1.0)
+        tables = build_scenario(cfg).tables
+        sv2 = ebn0_to_sigma_v2(cfg, 8.0)
+        assert mmse_weights(tables, sv2, 1 / 8)[4] == 0.0
+        theory = theoretical_mse_mmse(tables, 8, sv2)
+        mean, se = simulate_ce_mse(cfg, 0.5, sv2, 2000, criteria=("mmse",))["mmse"]
+        assert np.isfinite(theory) and np.isfinite(mean) and se > 0
+        assert abs(mean - theory) < 4 * se
 
 
 class TestFdToTd:

@@ -8,6 +8,7 @@ from ftnsim.detector import (demap_bits, equalize, fde_weights, ista_detect,
                              map_bits, project_nearest, zero_pilot_bins)
 from ftnsim.harness import build_scenario
 from ftnsim.pilot import SiaProjector, apply_projector, compose_tx
+from oracles import demap_reference, ista_reference, slice_reference
 
 
 def qpsk_points(sigma_s2=1.0):
@@ -54,6 +55,18 @@ class TestConstellation:
         sym = project_nearest(np.array([complex(np.nan, np.nan)]), 1.0)
         np.testing.assert_array_equal(sym, qpsk_points()[:1])
 
+    def test_float_view_forms_match_per_component_forms(self, rng):
+        z = rng.standard_normal((6, 64)) + 1j * rng.standard_normal((6, 64))
+        z[0, :6] = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0),
+                    complex(np.nan, -1.0), complex(-1.0, np.nan)]
+        cases = [z, z[0], z[:, ::3], z.T, z[::2, 1::2], z.real, z.real[::2]]
+        for v in cases:
+            for s2 in (1.0, 2.0):
+                sym = project_nearest(v, s2)
+                assert sym.shape == v.shape
+                np.testing.assert_array_equal(sym, slice_reference(v, s2))
+            np.testing.assert_array_equal(demap_bits(v), demap_reference(v))
+
 
 class TestFdeWeights:
     def test_zero_noise_mmse_is_zero_forcing(self, rng):
@@ -82,6 +95,18 @@ class TestFdeWeights:
         lam_g = rng.uniform(0.1, 2, 32)
         w = fde_weights(lam_h, lam_g, np.ones(32), 1.0, 0.5, "mmse").w
         assert np.all(np.abs(w) <= 1 / np.abs(lam_h * lam_g) + 1e-12)
+
+    def test_mmse_zero_over_zero_bin_gets_zero_weight(self, rng):
+        lam_h = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        lam_g = rng.uniform(0.1, 2.0, 16)
+        phi = rng.uniform(0.1, 2.0, 16)
+        lam_g[5] = phi[5] = 0.0   # no signal and no noise on bin 5
+        w = fde_weights(lam_h, lam_g, phi, 1.0, 0.3, "mmse").w
+        keep = np.arange(16) != 5
+        gamma = (lam_h * lam_g)[keep]
+        assert w[5] == 0.0
+        np.testing.assert_array_equal(
+            w[keep], np.conj(gamma) / (np.abs(gamma) ** 2 + 0.3 * phi[keep]))
 
     def test_ls_flags_null_bins(self):
         lam = np.array([1.0, 1.0, 0.0, 1.0])
@@ -198,6 +223,20 @@ class TestIstaDetect:
         d = np.abs(sym[:, None] - qpsk_points()[None, :]).min(axis=1)
         assert d.max() < 1e-12
 
+    @pytest.mark.parametrize("n_iter", range(5))
+    def test_matches_two_projection_reference(self, n_iter):
+        proj = SiaProjector(P=8, Q=16)
+        rng = make_rng(10, n_iter)
+        s = map_bits(rng.integers(0, 2, 4 * 256), 2.0).reshape(4, 128)
+        noisy = apply_projector(s, proj) + 0.4 * (rng.standard_normal((4, 128))
+                                                  + 1j * rng.standard_normal((4, 128)))
+        wide = rng.standard_normal((3, 256)) + 1j * rng.standard_normal((3, 256))
+        for u in [noisy, noisy[1], wide[:, ::2], noisy.real, wide.real[0, ::2]]:
+            sym, bits = ista_detect(u, proj, 2.0, n_iter)
+            ref = slice_reference(ista_reference(u, proj, 2.0, n_iter)[-1], 2.0)
+            np.testing.assert_array_equal(sym, ref)
+            np.testing.assert_array_equal(bits, demap_reference(ref))
+
     def test_residual_nonincreasing(self):
         proj = SiaProjector(P=8, Q=16)
         rng = make_rng(9)
@@ -206,11 +245,7 @@ class TestIstaDetect:
         for _ in range(trials):
             s = map_bits(rng.integers(0, 2, 256), 1.0)
             u = apply_projector(s, proj)
-            s_hat = apply_projector(u, proj)
-            res = [np.linalg.norm(u - apply_projector(s_hat, proj))]
-            for _ in range(3):
-                r = u - apply_projector(s_hat, proj)
-                s_hat = project_nearest(s_hat + apply_projector(r, proj), 1.0)
-                res.append(np.linalg.norm(u - apply_projector(s_hat, proj)))
+            res = [np.linalg.norm(u - apply_projector(s_hat, proj))
+                   for s_hat in ista_reference(u, proj, 1.0, 3)]
             good += all(b <= a + 1e-12 for a, b in zip(res, res[1:]))
         assert good >= 0.99 * trials

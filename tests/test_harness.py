@@ -103,6 +103,15 @@ class TestRunTrial:
         errors = sum(run_trial(scenario, 0.0, i).bit_errors for i in range(20))
         assert errors == 0
 
+    def test_negative_noise_variance_rejected(self):
+        with pytest.raises(ValueError):
+            run_trial(build_scenario(FtnConfig()), -1.0, 0)
+
+    def test_null_comb_bin_gives_finite_estimate(self):
+        scenario = build_scenario(replace(FtnConfig(), tau=0.5, beta=1.0))
+        res = run_trial(scenario, 0.1, 0)
+        assert res.flagged and np.isfinite(res.sq_err)
+
     def test_perfect_csi_zero_mse(self):
         scenario = build_scenario(replace(FtnConfig(), csi="perfect"))
         assert run_trial(scenario, 0.1, 0).sq_err == 0.0
@@ -145,6 +154,17 @@ class TestRunSweep:
         cfg = replace(FtnConfig(), **FAST)
         row = run_sweep(cfg).rows[0]
         assert row.measured_tx_power == pytest.approx(2 * (1 - 1 / 16), rel=0.05)
+
+
+    def test_golden_counts(self):
+        # recorded before the detector rewrite; a change that alters the
+        # simulated numbers has to update these on purpose
+        golden = {101: [(10, 224), (43, 120), (150, 3)],
+                  202: [(10, 202), (27, 105), (150, 7)]}
+        for seed, counts in golden.items():
+            cfg = replace(FtnConfig(), seed=seed, ebn0_grid_db=(4.0, 10.0, 16.0),
+                          min_trials=10, max_trials=150, target_bit_errors=100)
+            assert [(r.trials, r.bit_errors) for r in run_sweep(cfg).rows] == counts
 
 
 class TestEmitResults:

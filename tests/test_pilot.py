@@ -110,6 +110,17 @@ class TestProjector:
         assert jm[0] == pytest.approx(np.mean(v[:: proj.P]))
 
 
+    @pytest.mark.parametrize("P, Q", [(8, 16), (4, 3), (6, 5)])
+    def test_cyclic_mean_bits_equal_numpy_mean(self, P, Q):
+        proj = SiaProjector(P=P, Q=Q)
+        rng = make_rng(11)
+        z = rng.standard_normal((3, proj.N)) + 1j * rng.standard_normal((3, proj.N))
+        for v in (z, z[0], z.real, z[:, ::-1]):
+            segs = v.reshape(*v.shape[:-1], Q, P)
+            expected = np.broadcast_to(segs.mean(axis=-2, keepdims=True), segs.shape)
+            np.testing.assert_array_equal(cyclic_mean(v, proj), expected.reshape(v.shape))
+
+
 class TestComposeTx:
     def test_sia_off_no_pilot_passthrough(self):
         cfg = PilotConfig(P=8, Q=16, sigma_p2=0.0, sia_enabled=False)
