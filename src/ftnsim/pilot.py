@@ -77,13 +77,15 @@ class SiaProjector:
 def cyclic_mean(v, proj: SiaProjector):
     """J v: per-residue-class mean over the Q period-P segments, tiled back.
 
-    The sum and the in-place divide are the ufunc calls ``np.mean`` makes on
-    float and complex input, so the bits match it without its dispatch cost;
-    ``repeat`` tiles in C where ``broadcast_to`` costs more than the mean.
+    The sum and the in-place divide are the ufunc calls ``np.mean`` makes,
+    so the bits match it without its dispatch cost; ``repeat`` tiles in C,
+    where ``broadcast_to`` costs more than the mean itself.
     """
     v = np.asarray(v)
     if v.shape[-1] != proj.N:
         raise ValueError(f"length {v.shape[-1]} != P*Q = {proj.N}")
+    if v.dtype.kind in "biu":   # np.mean sums integers and booleans in float64
+        v = v.astype(np.float64)
     segs = v.reshape(*v.shape[:-1], proj.Q, proj.P)
     mean = np.add.reduce(segs, axis=-2, keepdims=True)
     mean /= proj.Q

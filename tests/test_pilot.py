@@ -115,7 +115,7 @@ class TestProjector:
         proj = SiaProjector(P=P, Q=Q)
         rng = make_rng(11)
         z = rng.standard_normal((3, proj.N)) + 1j * rng.standard_normal((3, proj.N))
-        for v in (z, z[0], z.real, z[:, ::-1]):
+        for v in (z, z[0], z.real, z[:, ::-1], np.arange(proj.N), z.real > 0):
             segs = v.reshape(*v.shape[:-1], Q, P)
             expected = np.broadcast_to(segs.mean(axis=-2, keepdims=True), segs.shape)
             np.testing.assert_array_equal(cyclic_mean(v, proj), expected.reshape(v.shape))
