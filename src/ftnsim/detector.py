@@ -32,8 +32,8 @@ def qpsk_symbols(labels, sigma_s2: float):
 
 def map_bits(bits, sigma_s2: float):
     """Bit vector (even length) to QPSK symbol vector of power sigma_s2."""
-    bits = np.asarray(bits)
-    return qpsk_symbols(2 * bits[..., 0::2] + bits[..., 1::2], sigma_s2)
+    pairs = np.asarray(bits).reshape(-1, 2)
+    return qpsk_symbols(2 * pairs[:, 0] + pairs[:, 1], sigma_s2)
 
 
 def demap_bits(symbols):
@@ -53,9 +53,9 @@ def project_nearest(v, sigma_s2: float):
     label 0, as in a nearest-point search that breaks ties to the lowest label.
     Both components are sliced in one pass over the float view.
     """
-    v = np.ascontiguousarray(v, dtype=complex)
+    s = np.ascontiguousarray(v, dtype=complex)
     a = np.sqrt(sigma_s2 / 2.0)
-    return np.where(v.view(np.float64) < 0, -a, a).view(complex)
+    return np.where(s.view(np.float64) < 0, -a, a).view(complex).reshape(np.shape(v))
 
 
 # LS bins with |gamma| below this fraction of max(|gamma|, 1) get weight 0

@@ -37,6 +37,11 @@ class TestConstellation:
         np.testing.assert_array_equal(
             demap_bits(qpsk_points()), [0, 0, 0, 1, 1, 0, 1, 1])
 
+    def test_odd_bit_count_rejected(self):
+        for bits in ([1], [0, 1, 1]):
+            with pytest.raises(ValueError):
+                map_bits(bits, 1.0)
+
     def test_random_round_trip(self):
         rng = make_rng(1)
         for _ in range(100):
@@ -59,7 +64,7 @@ class TestConstellation:
         z = rng.standard_normal((6, 64)) + 1j * rng.standard_normal((6, 64))
         z[0, :6] = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0),
                     complex(np.nan, -1.0), complex(-1.0, np.nan)]
-        cases = [z, z[0], z[:, ::3], z.T, z[::2, 1::2], z.real, z.real[::2]]
+        cases = [z, z[0], z[:, ::3], z.T, z[::2, 1::2], z.real, z.real[::2], z[1, 1]]
         for v in cases:
             for s2 in (1.0, 2.0):
                 sym = project_nearest(v, s2)
