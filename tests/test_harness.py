@@ -155,10 +155,9 @@ class TestRunSweep:
         row = run_sweep(cfg).rows[0]
         assert row.measured_tx_power == pytest.approx(2 * (1 - 1 / 16), rel=0.05)
 
-
     def test_golden_counts(self):
-        # recorded before the detector rewrite; a change that alters the
-        # simulated numbers has to update these on purpose
+        # integer columns are immune to last-ulp float differences across
+        # platforms; a change that alters the simulated numbers updates them
         golden = {101: [(10, 224), (43, 120), (150, 3)],
                   202: [(10, 202), (27, 105), (150, 7)]}
         for seed, counts in golden.items():
