@@ -35,10 +35,10 @@ def main():
     print(f"N = {cfg.N}, pilot comb = every {cfg.Q}-th bin ({cfg.P} bins)\n")
     band("pilot alone", dft(scenario.x_p), comb)
     band("raw QPSK data", dft(s), comb)
-    band("data after alignment", dft(apply_projector(s, scenario.proj)), comb)
+    band("data after alignment", dft(apply_projector(s, cfg.Q)), comb)
 
     fd_s = dft(s)
-    fd_t = dft(apply_projector(s, scenario.proj))
+    fd_t = dft(apply_projector(s, cfg.Q))
     moved = np.abs(fd_t[~comb] - fd_s[~comb]).max()
     print(f"\n  largest off-comb change from the projector: {moved:.2e}")
     print("\nAfter alignment the comb carries pilot energy only, so the")

@@ -39,13 +39,17 @@ class CombTables:
     gamma: np.ndarray = field(repr=False)       # lambda_g' * pilot_fd'
     phi_prime: np.ndarray = field(repr=False)   # FD noise variance at comb bins
 
+    @property
+    def bad_bins(self) -> int:
+        """Number of comb bins below the conditioning floor."""
+        mag = np.abs(self.gamma)
+        return int(np.count_nonzero(mag < _GAMMA_FLOOR * mag.max()))
+
     def check_conditioning(self):
-        floor = _GAMMA_FLOOR * np.abs(self.gamma).max()
-        bad = np.abs(self.gamma) < floor
-        if np.any(bad):
+        if self.bad_bins:
             raise IllConditionedCombError(
-                f"{int(bad.sum())} comb bin(s) below the conditioning floor "
-                f"{floor:.3e} (deep FTN spectral null)"
+                f"{self.bad_bins} comb bin(s) below the conditioning floor "
+                f"{_GAMMA_FLOOR:.0e} * max|gamma| (deep FTN spectral null)"
             )
 
 
@@ -135,8 +139,10 @@ def estimate_channel(y_tilde, tables: CombTables, L: int, N: int,
 def theoretical_mse_ls(tables: CombTables, L: int, sigma_v2: float) -> float:
     """Closed-form tap MSE of the LS comb estimator (alignment active).
 
-    (L sigma_v2 / P^2) * Tr{Gamma^{-1} Phi' Gamma^{-H}}.
+    (L sigma_v2 / P^2) * Tr{Gamma^{-1} Phi' Gamma^{-H}}.  Like ``ce_ls``, it
+    raises IllConditionedCombError on a comb bin in a deep spectral null.
     """
+    tables.check_conditioning()
     p = tables.P
     return float(L * sigma_v2 / p**2
                  * np.sum(tables.phi_prime / np.abs(tables.gamma) ** 2))

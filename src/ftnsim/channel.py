@@ -24,10 +24,8 @@ class ChannelRealization:
     lambda_h: np.ndarray = field(repr=False)
 
 
-def sample_channel(L: int, N: int, rng, nu: int | None = None) -> ChannelRealization:
+def sample_channel(L: int, N: int, rng) -> ChannelRealization:
     """Draw i.i.d. CN(0, 1/L) taps and rescale so sum |h_l|^2 = 1 exactly."""
-    if nu is not None and L > nu:
-        raise ValueError(f"need L <= nu, got L={L}, nu={nu}")
     h = complex_gaussian(L, 1.0 / L, rng)
     h = h / np.linalg.norm(h)
     return ChannelRealization(h=h, lambda_h=np.fft.fft(h, n=N))
@@ -44,29 +42,19 @@ def noise_factor(kernel: IsiKernel) -> np.ndarray:
     return np.sqrt(np.maximum(lam, floor))
 
 
-@dataclass(frozen=True)
-class ColoredNoiseGen:
-    """Generator state for noise with covariance sigma_v2 * circulant(G)."""
+def colored_noise(sqrt_lambda_g, sigma_v2: float, rng,
+                  trials: int | None = None) -> np.ndarray:
+    """eta = sqrt(sigma_v2) * B w with B B^H = G, B = F^H diag(sqrt_lambda_g) F.
 
-    sqrt_lambda_g: np.ndarray = field(repr=False)
-    sigma_v2: float = 0.0
-
-    def __post_init__(self):
-        if self.sigma_v2 < 0:
-            raise ValueError("sigma_v2 must be non-negative")
-
-    @classmethod
-    def from_kernel(cls, kernel: IsiKernel, sigma_v2: float) -> "ColoredNoiseGen":
-        return cls(sqrt_lambda_g=noise_factor(kernel), sigma_v2=sigma_v2)
-
-
-def colored_noise(gen: ColoredNoiseGen, rng, trials: int | None = None) -> np.ndarray:
-    """eta = sqrt(sigma_v2) * B w with B B^H = G; optional leading trials axis."""
-    n = len(gen.sqrt_lambda_g)
+    ``sqrt_lambda_g`` is ``noise_factor(kernel)``; optional leading trials axis.
+    """
+    if sigma_v2 < 0:
+        raise ValueError("sigma_v2 must be non-negative")
+    n = len(sqrt_lambda_g)
     shape = (n,) if trials is None else (trials, n)
     w = complex_gaussian(n, 1.0, rng, shape=shape)
-    eta = np.fft.ifft(gen.sqrt_lambda_g * np.fft.fft(w, axis=-1), axis=-1)
-    return np.sqrt(gen.sigma_v2) * eta
+    eta = np.fft.ifft(sqrt_lambda_g * np.fft.fft(w, axis=-1), axis=-1)
+    return np.sqrt(sigma_v2) * eta
 
 
 def transmit_fast(x, chan: ChannelRealization, kernel: IsiKernel, noise=None):

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 config-invariant violation, 3 I/O error,
 4 numerical failure (an ill-conditioned pilot comb, hit by LS estimation or
-flagged in more than 1% of trials).
+its closed-form MSE, or flagged in more than 1% of trials).
 """
 
 from __future__ import annotations

@@ -10,11 +10,10 @@ onto the QPSK alphabet, the only modulation the config accepts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .pilot import SiaProjector, apply_projector, cyclic_mean
+from .core import idft
+from .pilot import apply_projector, cyclic_mean
 
 
 # unit QPSK points in Gray label order 2 b0 + b1: b0 sets the I sign, b1 the Q sign
@@ -62,18 +61,12 @@ def project_nearest(v, sigma_s2: float):
 _LS_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class EqualizerWeights:
-    w: np.ndarray = field(repr=False)
-    flagged_bins: int = 0
-
-
 def fde_weights(lambda_eq, lambda_g, phi_diag, sigma_s2_eff, sigma_v2_eff,
-                criterion="mmse") -> EqualizerWeights:
+                criterion="mmse") -> np.ndarray:
     """Per-bin equalizer weights from Gamma_eq = diag(lambda_eq * lambda_g).
 
     MMSE whitens the colored noise through phi_diag; LS inverts each bin,
-    clamping (and counting) bins below the conditioning floor.  Perfect-CSI
+    giving weight 0 to bins below the conditioning floor.  Perfect-CSI
     operation is the same call with the true channel response and unscaled
     powers.
     """
@@ -87,15 +80,13 @@ def fde_weights(lambda_eq, lambda_g, phi_diag, sigma_s2_eff, sigma_v2_eff,
         num = np.conj(gamma)
         den = np.abs(gamma) ** 2 + rho * np.asarray(phi_diag)
         # a bin with neither signal nor noise (0/0) gets weight 0
-        w = np.divide(num, den, out=np.zeros_like(num), where=den != 0)
-        return EqualizerWeights(w=w)
+        return np.divide(num, den, out=np.zeros_like(num), where=den != 0)
     if criterion == "ls":
         mag = np.abs(gamma)
         floor = _LS_FLOOR * max(float(mag.max()), 1.0)
         bad = mag < floor
         safe = np.where(bad, floor, gamma)
-        w = np.where(bad, 0.0, 1.0 / safe)
-        return EqualizerWeights(w=w, flagged_bins=int(bad.sum()))
+        return np.where(bad, 0.0, 1.0 / safe)
     raise ValueError(f"unknown equalizer criterion {criterion!r}")
 
 
@@ -109,14 +100,12 @@ def zero_pilot_bins(y_tilde, P: int, Q: int):
     return z
 
 
-def equalize(z_tilde, weights: EqualizerWeights):
+def equalize(z_tilde, w):
     """u = IDFT(W z~) with the unitary convention."""
-    z_tilde = np.asarray(z_tilde)
-    n = z_tilde.shape[-1]
-    return np.fft.ifft(weights.w * z_tilde, axis=-1) * np.sqrt(n)
+    return idft(w * np.asarray(z_tilde))
 
 
-def ista_detect(u, proj: SiaProjector, sigma_s2: float, n_iter: int = 3):
+def ista_detect(u, Q: int, sigma_s2: float, n_iter: int = 3):
     """Iterative detection of s from u ~ Psi s.
 
     Initialization uses Psi^+ = Psi; each iteration adds the projected
@@ -129,9 +118,9 @@ def ista_detect(u, proj: SiaProjector, sigma_s2: float, n_iter: int = 3):
     """
     if n_iter < 0:
         raise ValueError("n_iter must be >= 0")
-    psi_u = apply_projector(u, proj)
+    psi_u = apply_projector(u, Q)
     s_hat = psi_u
     for _ in range(n_iter):
-        s_hat = project_nearest(psi_u + cyclic_mean(s_hat, proj), sigma_s2)
+        s_hat = project_nearest(psi_u + cyclic_mean(s_hat, Q), sigma_s2)
     s_hat = project_nearest(s_hat, sigma_s2)
     return s_hat, demap_bits(s_hat)

@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import chanest, detector, pilot
-from .channel import (ColoredNoiseGen, colored_noise, noise_factor, sample_channel,
-                      transmit_fast)
+from .channel import colored_noise, noise_factor, sample_channel, transmit_fast
 from .config import FtnConfig, as_dict, scenario_hash
 from .core import circulant_matvec, complex_gaussian, dft, make_rng
 from .waveform import FtnParams, make_isi_kernel
@@ -63,10 +62,8 @@ class Scenario:
     pilot_cfg: pilot.PilotConfig = field(repr=False)
     x_p: np.ndarray = field(repr=False)
     tables: chanest.CombTables = field(repr=False)
-    proj: pilot.SiaProjector = field(repr=False)
     noise_factor: np.ndarray = field(repr=False)   # clipped sqrt(lambda_g)
     phi_diag: np.ndarray = field(repr=False)
-    comb_flagged: bool = False
 
 
 def build_scenario(cfg: FtnConfig, tau: float | None = None) -> Scenario:
@@ -76,26 +73,17 @@ def build_scenario(cfg: FtnConfig, tau: float | None = None) -> Scenario:
     kernel = make_isi_kernel(FtnParams(tau=tau, beta=cfg.beta, nu=cfg.nu, N=cfg.N))
     sigma_p2 = pilot.sia_pilot_power(cfg.sigma_s2, cfg.Q)
     pcfg = pilot.PilotConfig(P=cfg.P, Q=cfg.Q, sigma_p2=sigma_p2, sia_enabled=cfg.sia)
-    tables = chanest.build_comb_tables(kernel, pcfg)
-    flagged = False
-    try:
-        tables.check_conditioning()
-    except chanest.IllConditionedCombError:
-        flagged = True
     return Scenario(cfg=cfg, tau=tau, kernel=kernel, pilot_cfg=pcfg,
-                    x_p=pilot.chu_pilot(pcfg), tables=tables,
-                    proj=pilot.SiaProjector(cfg.P, cfg.Q),
-                    noise_factor=noise_factor(kernel), phi_diag=kernel.phi_diag(),
-                    comb_flagged=flagged)
+                    x_p=pilot.chu_pilot(pcfg),
+                    tables=chanest.build_comb_tables(kernel, pcfg),
+                    noise_factor=noise_factor(kernel), phi_diag=kernel.phi_diag())
 
 
 @dataclass
 class TrialResult:
     bit_errors: int
-    n_bits: int
     sq_err: float
     tx_power: float
-    flagged: bool = False
 
 
 def run_trial(scenario: Scenario, sigma_v2: float, trial_index: int,
@@ -107,16 +95,15 @@ def run_trial(scenario: Scenario, sigma_v2: float, trial_index: int,
     rng_data = make_rng(cfg.seed, stream, _SUB_DATA)
     rng_noise = make_rng(cfg.seed, stream, _SUB_NOISE)
 
-    chan = sample_channel(cfg.L, cfg.N, rng_ch, nu=cfg.nu)
+    chan = sample_channel(cfg.L, cfg.N, rng_ch)
     bits = rng_data.integers(0, 2, cfg.N * _BITS_PER_SYMBOL)
     s = detector.map_bits(bits, cfg.sigma_s2)
     x = pilot.compose_tx(s, scenario.x_p, scenario.pilot_cfg)
 
-    gen = ColoredNoiseGen(scenario.noise_factor, sigma_v2)
-    y = transmit_fast(x, chan, scenario.kernel, noise=colored_noise(gen, rng_noise))
+    noise = colored_noise(scenario.noise_factor, sigma_v2, rng_noise)
+    y = transmit_fast(x, chan, scenario.kernel, noise=noise)
     y_tilde = dft(y)
 
-    flagged = scenario.comb_flagged
     if cfg.csi == "perfect":
         lambda_eq = chan.lambda_h
         sq_err = 0.0
@@ -128,25 +115,23 @@ def run_trial(scenario: Scenario, sigma_v2: float, trial_index: int,
         sq_err = float(np.sum(np.abs(chan.h - est.h_hat) ** 2))
 
     scale = (1.0 - 1.0 / cfg.Q) if cfg.sia else 1.0
-    weights = detector.fde_weights(
+    w = detector.fde_weights(
         lambda_eq, scenario.kernel.lambda_g, scenario.phi_diag,
         sigma_s2_eff=scale * cfg.sigma_s2, sigma_v2_eff=scale * sigma_v2,
         criterion=cfg.eq_criterion)
     z_tilde = detector.zero_pilot_bins(y_tilde, cfg.P, cfg.Q)
-    u = detector.equalize(z_tilde, weights)
+    u = detector.equalize(z_tilde, w)
 
     if cfg.sia:
-        _, bits_hat = detector.ista_detect(u, scenario.proj, cfg.sigma_s2, cfg.n_ista)
+        _, bits_hat = detector.ista_detect(u, cfg.Q, cfg.sigma_s2, cfg.n_ista)
     else:
         hard = detector.project_nearest(u, cfg.sigma_s2)
         bits_hat = detector.demap_bits(hard)
 
     return TrialResult(
         bit_errors=int(np.count_nonzero(bits != bits_hat)),
-        n_bits=len(bits),
         sq_err=sq_err,
         tx_power=float(np.mean(np.abs(x) ** 2)),
-        flagged=flagged,
     )
 
 
@@ -192,9 +177,7 @@ def run_cell(cfg: FtnConfig, tau: float, ebn0_db: float, cell_index: int) -> Swe
     snr_db = ebn0_db + 10.0 * np.log10(spectral_efficiency(cfg, tau))
 
     bit_errors = 0
-    n_bits = 0
     trials = 0
-    flagged = 0
     sq_sum = 0.0
     sq_sumsq = 0.0
     power_sum = 0.0
@@ -202,14 +185,13 @@ def run_cell(cfg: FtnConfig, tau: float, ebn0_db: float, cell_index: int) -> Swe
         res = run_trial(scenario, sigma_v2, trials, cell_index)
         trials += 1
         bit_errors += res.bit_errors
-        n_bits += res.n_bits
         sq_sum += res.sq_err
         sq_sumsq += res.sq_err**2
         power_sum += res.tx_power
-        flagged += int(res.flagged)
         if trials >= cfg.min_trials and bit_errors >= cfg.target_bit_errors:
             break
 
+    n_bits = trials * cfg.N * _BITS_PER_SYMBOL
     ber = bit_errors / n_bits
     ber_ci95 = 1.96 * np.sqrt(max(ber * (1.0 - ber), 0.0) / n_bits)
     mse = sq_sum / trials
@@ -222,7 +204,7 @@ def run_cell(cfg: FtnConfig, tau: float, ebn0_db: float, cell_index: int) -> Swe
         mse_theory=_theory_mse(scenario, sigma_v2),
         measured_tx_power=power_sum / trials,
         wall_s=time.perf_counter() - t0,
-        flagged_trials=flagged,
+        flagged_trials=trials if scenario.tables.bad_bins else 0,
     )
 
 
@@ -310,11 +292,10 @@ def simulate_ce_mse(cfg: FtnConfig, tau: float, sigma_v2: float, n_trials: int,
         sigma_s2 = cfg.sigma_s2
     if seed is None:
         seed = cfg.seed
+    # pilot power follows the configured (not the swept) data power
     scenario = build_scenario(cfg, tau)
     kernel = scenario.kernel
     n, L, Q = cfg.N, cfg.L, cfg.Q
-    # pilot power follows the configured (not the swept) data power
-    gen = ColoredNoiseGen(scenario.noise_factor, sigma_v2)
 
     sums = {c: 0.0 for c in criteria}
     sumsqs = {c: 0.0 for c in criteria}
@@ -334,7 +315,7 @@ def simulate_ce_mse(cfg: FtnConfig, tau: float, sigma_v2: float, n_trials: int,
         s = detector.qpsk_symbols(idx, sigma_s2)
         x = pilot.compose_tx(s, scenario.x_p, scenario.pilot_cfg)
 
-        eta = colored_noise(gen, rng_w, trials=b)
+        eta = colored_noise(scenario.noise_factor, sigma_v2, rng_w, trials=b)
         y = circulant_matvec(kernel.lambda_g * lam_h, x) + eta
         comb = chanest.extract_comb(dft(y), cfg.P, Q)
 

@@ -62,44 +62,33 @@ def chu_pilot(cfg: PilotConfig) -> np.ndarray:
     return np.tile(c, cfg.Q)
 
 
-@dataclass(frozen=True)
-class SiaProjector:
-    """Implicit Psi = I - J acting on length P*Q blocks."""
-
-    P: int
-    Q: int
-
-    @property
-    def N(self) -> int:
-        return self.P * self.Q
-
-
-def cyclic_mean(v, proj: SiaProjector):
-    """J v: per-residue-class mean over the Q period-P segments, tiled back.
+def cyclic_mean(v, Q: int):
+    """J v: per-residue-class mean over the Q segments of length N/Q, tiled back.
 
     The sum and the in-place divide are the ufunc calls ``np.mean`` makes,
     so the bits match it without its dispatch cost; ``repeat`` tiles in C,
     where ``broadcast_to`` costs more than the mean itself.
     """
     v = np.asarray(v)
-    if v.shape[-1] != proj.N:
-        raise ValueError(f"length {v.shape[-1]} != P*Q = {proj.N}")
+    n = v.shape[-1]
+    if Q < 1 or n % Q != 0:
+        raise ValueError(f"need Q >= 1 dividing the length, got length {n}, Q={Q}")
     if v.dtype.kind in "biu":   # np.mean sums integers and booleans in float64
         v = v.astype(np.float64)
-    segs = v.reshape(*v.shape[:-1], proj.Q, proj.P)
+    segs = v.reshape(*v.shape[:-1], Q, n // Q)
     mean = np.add.reduce(segs, axis=-2, keepdims=True)
-    mean /= proj.Q
-    return mean.repeat(proj.Q, axis=-2).reshape(v.shape)
+    mean /= Q
+    return mean.repeat(Q, axis=-2).reshape(v.shape)
 
 
-def apply_projector(v, proj: SiaProjector):
+def apply_projector(v, Q: int):
     """Psi v = v - J v in O(N); on data it zeroes the spectrum on bins k = iQ."""
-    return np.asarray(v) - cyclic_mean(v, proj)
+    return np.asarray(v) - cyclic_mean(v, Q)
 
 
 def compose_tx(s, x_p, cfg: PilotConfig):
     """Transmit block: (I - J) s + x_p with alignment on, s + x_p otherwise."""
     s = np.asarray(s)
     if cfg.sia_enabled:
-        s = apply_projector(s, SiaProjector(cfg.P, cfg.Q))
+        s = apply_projector(s, cfg.Q)
     return s + np.asarray(x_p)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ftnsim.pilot import SiaProjector, apply_projector
+from ftnsim.pilot import apply_projector
 from ftnsim.waveform import FtnParams, IsiKernel, isi_taps
 
 
@@ -120,16 +120,16 @@ def demap_reference(symbols):
     return bits.reshape(symbols.shape[:-1] + (-1,))
 
 
-def ista_reference(u, proj: SiaProjector, sigma_s2: float, n_iter: int):
+def ista_reference(u, Q: int, sigma_s2: float, n_iter: int):
     """ISTA iterates as written, two projections per step: s + Psi (u - Psi s), sliced.
 
     Returns [Psi u, s_1, ..., s_n_iter]; the detector's decision is the
     slice of the last one.
     """
-    s_hat = apply_projector(u, proj)
+    s_hat = apply_projector(u, Q)
     iterates = [s_hat]
     for _ in range(n_iter):
-        r = u - apply_projector(s_hat, proj)
-        s_hat = slice_reference(s_hat + apply_projector(r, proj), sigma_s2)
+        r = u - apply_projector(s_hat, Q)
+        s_hat = slice_reference(s_hat + apply_projector(r, Q), sigma_s2)
         iterates.append(s_hat)
     return iterates

@@ -19,7 +19,7 @@ from ftnsim.core import circulant_matvec, complex_gaussian, dft, make_rng
 from ftnsim.detector import ista_detect, map_bits
 from ftnsim.harness import (build_scenario, ebn0_to_sigma_v2, emit_results,
                             run_sweep, run_trial, simulate_ce_mse)
-from ftnsim.pilot import SiaProjector, apply_projector, compose_tx
+from ftnsim.pilot import apply_projector, compose_tx
 from ftnsim.waveform import FtnParams, make_isi_kernel
 from oracles import circulant_dense, projector_dense, transmit_exact
 
@@ -168,7 +168,7 @@ def test_criterion_5_exact_chain_closures(report):
 
     rng = make_rng(53)
     s = map_bits(rng.integers(0, 2, 256), scenario.cfg.sigma_s2)
-    fd = dft(apply_projector(s, scenario.proj))
+    fd = dft(apply_projector(s, scenario.cfg.Q))
     checks.append(("spectral zeroing", float(np.abs(fd[::16]).max()), 1e-12))
 
     psi = projector_dense(P=4, Q=8)
@@ -192,12 +192,11 @@ def test_criterion_5_exact_chain_closures(report):
 def test_criterion_6_exhaustive_toy_detection(report):
     # N=8, (P,Q)=(2,4): the projector decouples the two residue classes,
     # so the exact nearest-codeword search is a per-class table lookup
-    proj = SiaProjector(P=2, Q=4)
     points = map_bits([0, 0, 0, 1, 1, 0, 1, 1], 1.0)
 
     digits = (np.arange(4 ** 8)[:, None] // 4 ** np.arange(8)[None, :]) % 4
     s_all = points[digits]                 # all 65536 data blocks
-    u_all = apply_projector(s_all, proj)   # noise-free detector input
+    u_all = apply_projector(s_all, 4)      # noise-free detector input
 
     cand = points[(np.arange(256)[:, None] // 4 ** np.arange(4)[None, :]) % 4]
     cand_proj = cand - cand.mean(axis=1, keepdims=True)
@@ -213,7 +212,7 @@ def test_criterion_6_exhaustive_toy_detection(report):
         unique &= order[:, 1] - order[:, 0] > 1e-9
         s_bf[:, cls::2] = cand[np.argmin(d, axis=1)]
 
-    s_ista, _ = ista_detect(u_all, proj, 1.0, n_iter=3)
+    s_ista, _ = ista_detect(u_all, 4, 1.0, n_iter=3)
     agree = np.abs(s_ista[unique] - s_bf[unique]).max() < 1e-12
     report(6, agree and unique.sum() > 0,
            f"ista_detect matches brute-force nearest-codeword search on all "

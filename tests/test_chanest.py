@@ -6,7 +6,7 @@ from ftnsim.chanest import (IllConditionedCombError, build_comb_tables, ce_ls,
                             ce_mmse, estimate_channel, extract_comb, fd_to_td,
                             interpolate_response, mmse_weights, theoretical_mse_ls,
                             theoretical_mse_mmse)
-from ftnsim.channel import ColoredNoiseGen, colored_noise, sample_channel, transmit_fast
+from ftnsim.channel import colored_noise, noise_factor, sample_channel, transmit_fast
 from ftnsim.config import FtnConfig
 from ftnsim.core import dft, make_rng
 from ftnsim.harness import build_scenario, ebn0_to_sigma_v2, simulate_ce_mse
@@ -25,8 +25,7 @@ def received_fd(scenario, chan, rng, sigma_v2=0.0, sigma_s2=1.0):
     x = compose_tx(s, scenario.x_p, scenario.pilot_cfg)
     noise = None
     if sigma_v2 > 0:
-        gen = ColoredNoiseGen.from_kernel(scenario.kernel, sigma_v2)
-        noise = colored_noise(gen, rng)
+        noise = colored_noise(noise_factor(scenario.kernel), sigma_v2, rng)
     return dft(transmit_fast(x, chan, scenario.kernel, noise=noise))
 
 
@@ -84,6 +83,10 @@ class TestLs:
         cfg = FtnConfig(tau=0.5, beta=1.0)
         with pytest.raises(IllConditionedCombError):
             simulate_ce_mse(cfg, 0.5, 0.1, 100, criteria=("ls",))
+
+    def test_bad_bins_counts_the_null_comb_bin(self, scenario):
+        assert scenario.tables.bad_bins == 0
+        assert build_scenario(FtnConfig(tau=0.5, beta=1.0)).tables.bad_bins == 1
 
 
 class TestMmse:
@@ -163,6 +166,12 @@ class TestTheoreticalMse:
         per_bin = sum(sv2 * t.phi_prime[i] / abs(t.gamma[i]) ** 2 for i in range(8))
         assert theoretical_mse_ls(t, 8, sv2) == pytest.approx(
             8 / 64 * per_bin, rel=1e-12)
+
+    def test_ls_rejects_null_comb(self):
+        # the LS trace would divide phi' / |gamma|^2 = 0/0 on the null bin
+        tables = build_scenario(FtnConfig(tau=0.5, beta=1.0)).tables
+        with pytest.raises(IllConditionedCombError):
+            theoretical_mse_ls(tables, 8, 0.1)
 
     def test_mmse_zero_noise(self, scenario):
         assert theoretical_mse_mmse(scenario.tables, 8, 0.0) == pytest.approx(0.0, abs=1e-12)

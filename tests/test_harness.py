@@ -110,7 +110,7 @@ class TestRunTrial:
     def test_null_comb_bin_gives_finite_estimate(self):
         scenario = build_scenario(replace(FtnConfig(), tau=0.5, beta=1.0))
         res = run_trial(scenario, 0.1, 0)
-        assert res.flagged and np.isfinite(res.sq_err)
+        assert scenario.tables.bad_bins and np.isfinite(res.sq_err)
 
     def test_perfect_csi_zero_mse(self):
         scenario = build_scenario(replace(FtnConfig(), csi="perfect"))
@@ -164,6 +164,12 @@ class TestRunSweep:
             cfg = replace(FtnConfig(), seed=seed, ebn0_grid_db=(4.0, 10.0, 16.0),
                           min_trials=10, max_trials=150, target_bit_errors=100)
             assert [(r.trials, r.bit_errors) for r in run_sweep(cfg).rows] == counts
+
+    def test_flagged_trials_count_the_null_comb(self):
+        cfg = replace(FtnConfig(), **FAST)
+        assert [r.flagged_trials for r in run_sweep(cfg).rows] == [0]
+        rows = run_sweep(replace(cfg, tau=0.5, beta=1.0)).rows
+        assert [r.flagged_trials for r in rows] == [r.trials for r in rows] == [20]
 
 
 class TestEmitResults:
@@ -233,6 +239,23 @@ class TestCli:
         assert proc.returncode == 0
         body = (out / "mse_theory.csv").read_text()
         assert body.startswith("tau,ebn0_db,sigma_v2,mse_ls,mse_mmse")
+
+    def test_run_null_comb_exits_numerical(self, cfg_file, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        null = ["--override", "tau=0.5", "--override", "beta=1.0"]
+        proc = run_cli("run", "--config", cfg_file, "--out", str(out), *null)
+        assert proc.returncode == 4
+        assert (out / "results.csv").exists()
+        assert "20/20 trials" in proc.stderr
+        proc = run_cli("run", "--config", cfg_file, "--out", str(out), *null,
+                       "--override", "ce_criterion=ls")
+        assert proc.returncode == 4
+
+    def test_mse_theory_null_comb_exits_numerical(self, cfg_file, tmp_path):
+        proc = run_cli("mse-theory", "--config", cfg_file, "--out", str(tmp_path),
+                       "--override", "tau=0.5", "--override", "beta=1.0")
+        assert proc.returncode == 4
 
     def test_missing_config_file(self, tmp_path):
         proc = run_cli("validate", "--config", str(tmp_path / "none.cfg"))

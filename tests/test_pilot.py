@@ -1,12 +1,19 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ftnsim.core import dft, make_rng
-from ftnsim.pilot import (PilotConfig, SiaProjector, apply_projector, chu_pilot,
-                          compose_tx, cyclic_mean, sia_pilot_power)
+from ftnsim.detector import ista_detect
+from ftnsim.pilot import (PilotConfig, apply_projector, chu_pilot, compose_tx,
+                          cyclic_mean, sia_pilot_power)
 from oracles import projector_dense
+
+# projector geometry of the default config: N = P * Q
+P, Q = 8, 16
+N = P * Q
 
 
 def qpsk_block(rng, n, sigma_s2=1.0):
@@ -17,11 +24,6 @@ def qpsk_block(rng, n, sigma_s2=1.0):
 @pytest.fixture
 def cfg():
     return PilotConfig(P=8, Q=16, sigma_p2=sia_pilot_power(1.0, 16))
-
-
-@pytest.fixture
-def proj():
-    return SiaProjector(P=8, Q=16)
 
 
 class TestChuPilot:
@@ -53,72 +55,73 @@ class TestChuPilot:
 
 
 class TestSiaTransform:
-    def test_constant_block_annihilated(self, proj):
-        s = np.full(proj.N, 1 - 2j)
-        assert np.abs(apply_projector(s, proj)).max() < 1e-12
+    def test_constant_block_annihilated(self):
+        s = np.full(N, 1 - 2j)
+        assert np.abs(apply_projector(s, Q)).max() < 1e-12
 
-    def test_comb_bins_zeroed(self, proj):
+    def test_comb_bins_zeroed(self):
         rng = make_rng(0)
         for _ in range(10):
-            s = qpsk_block(rng, proj.N)
-            fd = dft(apply_projector(s, proj))
-            assert np.abs(fd[:: proj.Q]).max() < 1e-12
+            s = qpsk_block(rng, N)
+            fd = dft(apply_projector(s, Q))
+            assert np.abs(fd[::Q]).max() < 1e-12
 
-    def test_off_comb_bins_untouched(self, proj):
+    def test_off_comb_bins_untouched(self):
         rng = make_rng(1)
-        s = qpsk_block(rng, proj.N)
+        s = qpsk_block(rng, N)
         fd_s = dft(s)
-        fd_t = dft(apply_projector(s, proj))
-        mask = np.ones(proj.N, bool)
-        mask[:: proj.Q] = False
+        fd_t = dft(apply_projector(s, Q))
+        mask = np.ones(N, bool)
+        mask[::Q] = False
         assert np.abs(fd_t[mask] - fd_s[mask]).max() < 1e-12
 
-    def test_dimension_mismatch(self, proj):
-        with pytest.raises(ValueError):
-            apply_projector(np.ones(proj.N + 1), proj)
+    def test_dimension_mismatch(self):
+        for fn in (cyclic_mean, apply_projector, partial(ista_detect, sigma_s2=1.0)):
+            with pytest.raises(ValueError):
+                fn(np.ones(N + 1), Q)
+            with pytest.raises(ValueError):
+                fn(np.ones(N), 0)
 
 
 class TestProjector:
-    def test_idempotence(self, proj):
-        v = make_rng(2).standard_normal(proj.N) * (1 + 1j)
-        once = apply_projector(v, proj)
-        assert np.abs(apply_projector(once, proj) - once).max() < 1e-12
+    def test_idempotence(self):
+        v = make_rng(2).standard_normal(N) * (1 + 1j)
+        once = apply_projector(v, Q)
+        assert np.abs(apply_projector(once, Q) - once).max() < 1e-12
 
     def test_dense_oracle(self):
-        proj = SiaProjector(P=4, Q=8)
         v = make_rng(3).standard_normal(32) + 1j * make_rng(4).standard_normal(32)
-        assert np.abs(apply_projector(v, proj) - projector_dense(proj.P, proj.Q) @ v).max() < 1e-12
+        assert np.abs(apply_projector(v, 8) - projector_dense(4, 8) @ v).max() < 1e-12
 
-    def test_kernel_vectors_annihilated(self, proj):
-        period = make_rng(5).standard_normal(proj.P)
-        v = np.tile(period, proj.Q)
-        assert np.abs(apply_projector(v, proj)).max() < 1e-12
+    def test_kernel_vectors_annihilated(self):
+        period = make_rng(5).standard_normal(P)
+        v = np.tile(period, Q)
+        assert np.abs(apply_projector(v, Q)).max() < 1e-12
 
     def test_dense_algebra(self):
-        proj = SiaProjector(P=4, Q=8)
-        psi = projector_dense(proj.P, proj.Q)
+        psi = projector_dense(4, 8)
         assert np.abs(psi - psi.T).max() < 1e-12
         assert np.abs(psi @ psi - psi).max() < 1e-12
         assert np.abs(np.linalg.pinv(psi) - psi).max() < 1e-10
-        assert np.linalg.matrix_rank(psi) == proj.N - proj.P
+        assert np.linalg.matrix_rank(psi) == 32 - 4
 
-    def test_cyclic_mean_structure(self, proj):
-        v = np.arange(proj.N, dtype=float)
-        jm = cyclic_mean(v, proj)
+    def test_cyclic_mean_structure(self):
+        v = np.arange(N, dtype=float)
+        jm = cyclic_mean(v, Q)
         # per-residue-class means, tiled with period P
-        np.testing.assert_allclose(jm[: proj.P], jm[proj.P : 2 * proj.P])
-        assert jm[0] == pytest.approx(np.mean(v[:: proj.P]))
+        np.testing.assert_allclose(jm[:P], jm[P : 2 * P])
+        assert jm[0] == pytest.approx(np.mean(v[::P]))
 
 
     @pytest.mark.parametrize("P, Q", [(8, 16), (4, 3), (6, 5)])
     def test_cyclic_mean_bits_equal_numpy_mean(self, P, Q):
-        proj = SiaProjector(P=P, Q=Q)
+        n = P * Q
         rng = make_rng(11)
-        z = rng.standard_normal((3, proj.N)) + 1j * rng.standard_normal((3, proj.N))
-        for v in (z, z[0], z.real, z[:, ::-1], np.arange(proj.N), z.real > 0):
+        z = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        for v in (z, z[0], z.real, z[:, ::-1], np.arange(n), z.real > 0):
             segs = v.reshape(*v.shape[:-1], Q, P)
             expected = np.broadcast_to(segs.mean(axis=-2, keepdims=True), segs.shape)
-            np.testing.assert_array_equal(cyclic_mean(v, proj), expected.reshape(v.shape))
+            np.testing.assert_array_equal(cyclic_mean(v, Q), expected.reshape(v.shape))
 
 
 class TestComposeTx:
@@ -127,14 +130,14 @@ class TestComposeTx:
         s = qpsk_block(make_rng(6), cfg.N)
         np.testing.assert_array_equal(compose_tx(s, np.zeros(cfg.N), cfg), s)
 
-    def test_data_power_after_projection(self, cfg, proj):
+    def test_data_power_after_projection(self, cfg):
         rng = make_rng(7)
         total = 0.0
         blocks = 10_000
         for _ in range(100):
-            s = qpsk_block(rng, (100, proj.N))
-            total += np.sum(np.abs(apply_projector(s, proj)) ** 2)
-        avg = total / (blocks * proj.N)
+            s = qpsk_block(rng, (100, N))
+            total += np.sum(np.abs(apply_projector(s, Q)) ** 2)
+        avg = total / (blocks * N)
         assert avg == pytest.approx((1 - 1 / 16), rel=0.01)
 
     def test_comb_bins_carry_only_pilot(self, cfg):
@@ -163,8 +166,7 @@ def qpsk_strategy(n):
 @settings(max_examples=50, deadline=None)
 @given(qpsk_strategy(24))
 def test_alignment_contract_property(sym):
-    proj = SiaProjector(P=4, Q=6)
-    s = np.array(sym) / np.sqrt(2)
-    fd = dft(apply_projector(s, proj))
+    s = np.array(sym) / np.sqrt(2)   # N = 24 = P * Q with P = 4, Q = 6
+    fd = dft(apply_projector(s, 6))
     bound = 1e-12 * max(np.linalg.norm(s), 1.0)
-    assert np.abs(fd[:: proj.Q]).max() < bound
+    assert np.abs(fd[::6]).max() < bound
