@@ -13,6 +13,7 @@ noise covariance is exactly diagonal).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,8 +39,11 @@ class CombTables:
     Q: int
     gamma: np.ndarray = field(repr=False)       # lambda_g' * pilot_fd'
     phi_prime: np.ndarray = field(repr=False)   # FD noise variance at comb bins
+    # read-only ce_mmse weights by (sigma_v2, sigma_h2), one entry per sweep cell
+    _mmse_memo: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
-    @property
+    @functools.cached_property
     def bad_bins(self) -> int:
         """Number of comb bins below the conditioning floor."""
         mag = np.abs(self.gamma)
@@ -101,8 +105,18 @@ def mmse_weights(tables: CombTables, sigma_v2: float, sigma_h2: float) -> np.nda
 
 
 def ce_mmse(y_prime, tables: CombTables, sigma_v2: float, sigma_h2: float):
-    """MMSE comb estimate; coincides with LS as sigma_v2 -> 0."""
-    return mmse_weights(tables, sigma_v2, sigma_h2) * np.asarray(y_prime)
+    """MMSE comb estimate; coincides with LS as sigma_v2 -> 0.
+
+    The weights are computed once per (sigma_v2, sigma_h2) and kept on
+    ``tables``, so a sweep cell pays for them on its first trial only.
+    """
+    key = (sigma_v2, sigma_h2)
+    w = tables._mmse_memo.get(key)
+    if w is None:
+        w = mmse_weights(tables, sigma_v2, sigma_h2)
+        w.flags.writeable = False
+        tables._mmse_memo[key] = w
+    return w * np.asarray(y_prime)
 
 
 def fd_to_td(d_hat, P: int, L: int):

@@ -8,6 +8,7 @@ directly from the circulant factor sqrt(lambda_g).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,9 +26,13 @@ class ChannelRealization:
 
 
 def sample_channel(L: int, N: int, rng) -> ChannelRealization:
-    """Draw i.i.d. CN(0, 1/L) taps and rescale so sum |h_l|^2 = 1 exactly."""
+    """Draw i.i.d. CN(0, 1/L) taps and rescale so sum |h_l|^2 = 1 exactly.
+
+    The norm is written out as ``np.linalg.norm`` computes it for a complex
+    vector, without its dispatch cost.
+    """
     h = complex_gaussian(L, 1.0 / L, rng)
-    h = h / np.linalg.norm(h)
+    h = h / math.sqrt(h.real.dot(h.real) + h.imag.dot(h.imag))
     return ChannelRealization(h=h, lambda_h=np.fft.fft(h, n=N))
 
 
@@ -54,7 +59,7 @@ def colored_noise(sqrt_lambda_g, sigma_v2: float, rng,
     shape = (n,) if trials is None else (trials, n)
     w = complex_gaussian(n, 1.0, rng, shape=shape)
     eta = np.fft.ifft(sqrt_lambda_g * np.fft.fft(w, axis=-1), axis=-1)
-    return np.sqrt(sigma_v2) * eta
+    return math.sqrt(sigma_v2) * eta
 
 
 def transmit_fast(x, chan: ChannelRealization, kernel: IsiKernel, noise=None):

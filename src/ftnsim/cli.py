@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 config-invariant violation, 3 I/O error,
 4 numerical failure (an ill-conditioned pilot comb, hit by LS estimation or
-its closed-form MSE, or flagged in more than 1% of trials).
+its closed-form MSE, or flagged in more than 1% of trials).  ``mse-theory``
+still writes its file then, with ``mse_ls`` empty on the ill-conditioned taus.
 """
 
 from __future__ import annotations
@@ -78,16 +79,24 @@ def cmd_mse_theory(args):
         raise IOError(f"output directory does not exist: {directory}")
     lines = ["tau,ebn0_db,sigma_v2,mse_ls,mse_mmse"]
     from .chanest import theoretical_mse_ls, theoretical_mse_mmse
+    failure = None
     for tau in cfg.taus():
         scenario = harness.build_scenario(cfg, tau)
         for ebn0 in cfg.ebn0_grid_db:
             sv2 = harness.ebn0_to_sigma_v2(cfg, ebn0, tau)
-            ls = theoretical_mse_ls(scenario.tables, cfg.L, sv2)
+            # an ill-conditioned comb leaves mse_ls empty; MMSE stays finite there
+            try:
+                ls = f"{theoretical_mse_ls(scenario.tables, cfg.L, sv2):.17g}"
+            except IllConditionedCombError as exc:
+                ls, failure = "", exc
             mm = theoretical_mse_mmse(scenario.tables, cfg.L, sv2, 1.0 / cfg.L)
-            lines.append(f"{tau:.17g},{ebn0:.17g},{sv2:.17g},{ls:.17g},{mm:.17g}")
+            lines.append(f"{tau:.17g},{ebn0:.17g},{sv2:.17g},{ls},{mm:.17g}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {path}")
+    if failure is not None:
+        print(f"numerical failure: {failure}; mse_ls left empty", file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 

@@ -88,6 +88,8 @@ class FtnConfig:
             errs.append(f"sigma_s2={self.sigma_s2} negative")
         if self.n_ista < 0:
             errs.append("n_ista must be >= 0")
+        if self.seed < 0:
+            errs.append(f"seed={self.seed} negative")
         if self.min_trials < 1 or self.max_trials < self.min_trials:
             errs.append("need 1 <= min_trials <= max_trials")
         if self.target_bit_errors < 1:

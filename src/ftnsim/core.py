@@ -12,7 +12,12 @@ Every other module builds on exactly these two.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+# keys below this fit one SeedSequence word each
+_UINT32_END = 2**32
 
 
 def make_rng(seed, stream=0, substream=None):
@@ -22,10 +27,18 @@ def make_rng(seed, stream=0, substream=None):
     stream ids give statistically independent generators.  Substreams let a
     trial separate channel / data / noise draws so that, e.g., changing the
     data power does not perturb the noise realization.
+
+    The generator is the one ``np.random.default_rng(key)`` gives.  SeedSequence
+    turns each int in [0, 2**32) into exactly one uint32 word, so such keys
+    are passed as a uint32 array, which skips its per-int coercion; larger
+    keys (split into several words) and negative ones (rejected) go through
+    ``default_rng``.
     """
     key = [int(seed), int(stream)]
     if substream is not None:
         key.append(int(substream))
+    if min(key) >= 0 and max(key) < _UINT32_END:
+        return np.random.Generator(np.random.PCG64(np.array(key, dtype=np.uint32)))
     return np.random.default_rng(key)
 
 
@@ -35,7 +48,7 @@ def dft(x):
     n = x.shape[-1]
     if n < 1:
         raise ValueError("dft input must have length >= 1")
-    return np.fft.fft(x, axis=-1) / np.sqrt(n)
+    return np.fft.fft(x, axis=-1) / math.sqrt(n)
 
 
 def idft(x):
@@ -44,7 +57,7 @@ def idft(x):
     n = x.shape[-1]
     if n < 1:
         raise ValueError("idft input must have length >= 1")
-    return np.fft.ifft(x, axis=-1) * np.sqrt(n)
+    return np.fft.ifft(x, axis=-1) * math.sqrt(n)
 
 
 def circulant_eigenvalues(c):

@@ -10,10 +10,12 @@ onto the QPSK alphabet, the only modulation the config accepts.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import idft
-from .pilot import apply_projector, cyclic_mean
+from .pilot import apply_projector
 
 
 # unit QPSK points in Gray label order 2 b0 + b1: b0 sets the I sign, b1 the Q sign
@@ -53,7 +55,7 @@ def project_nearest(v, sigma_s2: float):
     Both components are sliced in one pass over the float view.
     """
     s = np.ascontiguousarray(v, dtype=complex)
-    a = np.sqrt(sigma_s2 / 2.0)
+    a = math.sqrt(sigma_s2 / 2.0)
     return np.where(s.view(np.float64) < 0, -a, a).view(complex).reshape(np.shape(v))
 
 
@@ -119,8 +121,13 @@ def ista_detect(u, Q: int, sigma_s2: float, n_iter: int = 3):
     if n_iter < 0:
         raise ValueError("n_iter must be >= 0")
     psi_u = apply_projector(u, Q)
-    s_hat = psi_u
+    # on the (Q, N/Q) segment view J s is one reduce broadcast over the
+    # segments: the same additions as cyclic_mean, without tiling the mean
+    segs = psi_u.reshape(*psi_u.shape[:-1], Q, -1)
+    s_hat = segs
     for _ in range(n_iter):
-        s_hat = project_nearest(psi_u + cyclic_mean(s_hat, Q), sigma_s2)
-    s_hat = project_nearest(s_hat, sigma_s2)
+        mean = np.add.reduce(s_hat, axis=-2, keepdims=True)
+        mean /= Q
+        s_hat = project_nearest(segs + mean, sigma_s2)
+    s_hat = project_nearest(s_hat, sigma_s2).reshape(psi_u.shape)
     return s_hat, demap_bits(s_hat)

@@ -13,7 +13,6 @@ import csv
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,7 +111,7 @@ def run_trial(scenario: Scenario, sigma_v2: float, trial_index: int,
             y_tilde, scenario.tables, cfg.L, cfg.N,
             criterion=cfg.ce_criterion, sigma_v2=sigma_v2, sigma_h2=1.0 / cfg.L)
         lambda_eq = est.lambda_eq
-        sq_err = float(np.sum(np.abs(chan.h - est.h_hat) ** 2))
+        sq_err = float(np.add.reduce(np.abs(chan.h - est.h_hat) ** 2))
 
     scale = (1.0 - 1.0 / cfg.Q) if cfg.sia else 1.0
     w = detector.fde_weights(
@@ -128,10 +127,12 @@ def run_trial(scenario: Scenario, sigma_v2: float, trial_index: int,
         hard = detector.project_nearest(u, cfg.sigma_s2)
         bits_hat = detector.demap_bits(hard)
 
+    # np.add.reduce and the divide are the ufunc calls np.sum / np.mean make
+    power = np.abs(x) ** 2
     return TrialResult(
         bit_errors=int(np.count_nonzero(bits != bits_hat)),
         sq_err=sq_err,
-        tx_power=float(np.mean(np.abs(x) ** 2)),
+        tx_power=float(np.add.reduce(power) / power.size),
     )
 
 
@@ -215,6 +216,8 @@ def run_sweep(cfg: FtnConfig, workers: int = 1) -> SweepTable:
     if workers <= 1 or len(cells) <= 1:
         rows = [run_cell(cfg, tau, ebn0, i) for i, (tau, ebn0) in enumerate(cells)]
     else:
+        # imported here: the pool machinery adds ~10 ms to every import of ftnsim
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(run_cell, cfg, tau, ebn0, i)
                        for i, (tau, ebn0) in enumerate(cells)]

@@ -97,6 +97,22 @@ class TestMmse:
         mm = ce_mmse(y_prime, scenario.tables, 0.0, 1 / 8)
         assert np.abs(ls - mm).max() < 1e-10
 
+    def test_cached_weights_equal_mmse_weights(self):
+        tables = build_scenario(FtnConfig()).tables
+        rng = make_rng(11)
+        y_prime = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        for sv2 in (0.05, 0.3, 0.05, 0.3):
+            np.testing.assert_array_equal(ce_mmse(y_prime, tables, sv2, 1 / 8),
+                                          mmse_weights(tables, sv2, 1 / 8) * y_prime)
+        assert len(tables._mmse_memo) == 2
+
+    def test_cached_weights_are_read_only(self):
+        tables = build_scenario(FtnConfig()).tables
+        ce_mmse(np.ones(8, complex), tables, 0.1, 1 / 8)
+        (w,) = tables._mmse_memo.values()
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+
     def test_infinite_noise_shrinks_to_zero(self, scenario):
         y_prime = np.ones(8, complex)
         mm = ce_mmse(y_prime, scenario.tables, 1e12, 1 / 8)

@@ -17,6 +17,12 @@ class TestSampleChannel:
             chan = sample_channel(8, 128, make_rng(seed))
             assert abs(np.sum(np.abs(chan.h) ** 2) - 1.0) < 1e-12
 
+    def test_taps_match_linalg_norm_form(self):
+        for seed in range(20):
+            chan = sample_channel(8, 128, make_rng(seed))
+            h = complex_gaussian(8, 1 / 8, make_rng(seed))
+            np.testing.assert_array_equal(chan.h, h / np.linalg.norm(h))
+
     def test_per_tap_mean_power(self):
         rng = make_rng(42)
         powers = np.zeros(8)

@@ -29,6 +29,12 @@ class TestDft:
         with pytest.raises(ValueError):
             dft(np.array([]))
 
+    def test_bits_match_numpy_sqrt_scaling(self, rng):
+        for n in [1, 7, 128]:
+            x = random_complex(rng, n)
+            np.testing.assert_array_equal(dft(x), np.fft.fft(x) / np.sqrt(n))
+            np.testing.assert_array_equal(idft(x), np.fft.ifft(x) * np.sqrt(n))
+
 
 class TestCirculantEigenvalues:
     def test_identity(self):
@@ -109,6 +115,25 @@ class TestComplexGaussian:
         a = complex_gaussian(32, 1.0, make_rng(7, 0))
         b = complex_gaussian(32, 1.0, make_rng(7, 1))
         assert not np.allclose(a, b)
+
+
+# the int boundaries of SeedSequence's uint32 words, and keys past them
+_KEYS = (0, 1, 2, 12345, 2**31, 2**32 - 1, 2**32, 2**40, 2**64 + 5)
+
+
+class TestMakeRng:
+    @pytest.mark.parametrize("seed", _KEYS)
+    def test_same_generator_as_default_rng(self, seed):
+        for stream in _KEYS:
+            for sub in (None, *_KEYS):
+                key = [seed, stream] if sub is None else [seed, stream, sub]
+                want = np.random.default_rng(key).bit_generator.state
+                assert make_rng(seed, stream, sub).bit_generator.state == want
+
+    @pytest.mark.parametrize("key", [(-1, 0), (0, -1), (0, 0, -1), (2**40, -1)])
+    def test_negative_key_rejected(self, key):
+        with pytest.raises(ValueError):
+            make_rng(*key)
 
 
 @settings(max_examples=30, deadline=None)

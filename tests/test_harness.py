@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -33,6 +34,8 @@ class TestConfig:
             replace(FtnConfig(), nu=7).validate()
         with pytest.raises(ConfigError):
             replace(FtnConfig(), nu=70).validate()
+        with pytest.raises(ConfigError):
+            replace(FtnConfig(), seed=-1).validate()
 
     def test_file_round_trip(self, tmp_path):
         cfg = replace(FtnConfig(), tau=0.9, seed=777, sia=False,
@@ -220,6 +223,12 @@ class TestCli:
         proc = run_cli("validate", "--config", cfg_file, "--override", "L=9")
         assert proc.returncode == 2
 
+    def test_run_negative_seed_is_config_error(self, cfg_file, tmp_path):
+        proc = run_cli("run", "--config", cfg_file, "--out", str(tmp_path),
+                       "--override", "seed=-1")
+        assert proc.returncode == 2
+        assert "seed=-1" in proc.stderr
+
     def test_run_writes_csv(self, cfg_file, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
@@ -256,6 +265,12 @@ class TestCli:
         proc = run_cli("mse-theory", "--config", cfg_file, "--out", str(tmp_path),
                        "--override", "tau=0.5", "--override", "beta=1.0")
         assert proc.returncode == 4
+        with open(tmp_path / "mse_theory.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows
+        for row in rows:
+            assert row["mse_ls"] == ""
+            assert np.isfinite(float(row["mse_mmse"]))
 
     def test_missing_config_file(self, tmp_path):
         proc = run_cli("validate", "--config", str(tmp_path / "none.cfg"))
