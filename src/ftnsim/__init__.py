@@ -1,7 +1,7 @@
 """Faster-than-Nyquist link simulator with superimposed-pilot channel estimation."""
 
-from .channel import (ChannelRealization, colored_noise, noise_factor,
-                      sample_channel, transmit_fast)
+from .channel import (colored_noise, noise_factor, phi_diag, sample_channel,
+                      transmit_fast)
 from .chanest import (CombTables, build_comb_tables, ce_ls, ce_mmse,
                       estimate_channel, extract_comb, fd_to_td,
                       theoretical_mse_ls, theoretical_mse_mmse)
@@ -12,9 +12,7 @@ from .detector import (demap_bits, equalize, fde_weights, ista_detect,
 from .harness import (Scenario, SweepRow, SweepTable, build_scenario,
                       ebn0_to_sigma_v2, emit_results, run_cell, run_sweep,
                       run_trial, simulate_ce_mse, spectral_efficiency)
-from .pilot import (PilotConfig, apply_projector, chu_pilot, compose_tx,
-                    sia_pilot_power)
-from .waveform import (FtnParams, IsiKernel, build_isi_circulant,
-                       make_isi_kernel, rc_autocorrelation)
+from .pilot import apply_projector, chu_pilot, compose_tx, sia_pilot_power
+from .waveform import build_isi_circulant, rc_autocorrelation
 
 __version__ = "0.1.0"

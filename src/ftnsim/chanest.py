@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channel import phi_diag
 from .core import dft
-from .pilot import PilotConfig, chu_pilot
-from .waveform import IsiKernel
 
 
 class IllConditionedCombError(RuntimeError):
@@ -57,20 +56,16 @@ class CombTables:
             )
 
 
-def build_comb_tables(kernel: IsiKernel, cfg: PilotConfig) -> CombTables:
-    if cfg.N != kernel.N:
-        raise ValueError(f"pilot N={cfg.N} != kernel N={kernel.N}")
-    x_p_fd = dft(chu_pilot(cfg))
-    comb = slice(0, kernel.N, cfg.Q)
-    gamma = kernel.lambda_g[comb] * x_p_fd[comb]
-    phi_prime = kernel.phi_diag()[comb]
-    return CombTables(P=cfg.P, Q=cfg.Q, gamma=gamma, phi_prime=phi_prime)
-
-
-@dataclass(frozen=True)
-class ChannelEstimate:
-    h_hat: np.ndarray = field(repr=False)     # recovered taps
-    lambda_eq: np.ndarray = field(repr=False) # full-band FD response for FDE
+def build_comb_tables(lambda_g, x_p, Q: int) -> CombTables:
+    """Comb tables of the ISI eigenvalues ``lambda_g`` and the time-domain pilot ``x_p``."""
+    n = len(lambda_g)
+    if len(x_p) != n:
+        raise ValueError(f"pilot length {len(x_p)} != len(lambda_g) = {n}")
+    x_p_fd = dft(x_p)
+    comb = slice(0, n, Q)
+    gamma = lambda_g[comb] * x_p_fd[comb]
+    phi_prime = phi_diag(lambda_g)[comb]
+    return CombTables(P=n // Q, Q=Q, gamma=gamma, phi_prime=phi_prime)
 
 
 def extract_comb(y_tilde, P: int, Q: int):
@@ -130,15 +125,14 @@ def fd_to_td(d_hat, P: int, L: int):
     return np.fft.ifft(d_hat, axis=-1)[..., :L]
 
 
-def interpolate_response(h_hat, N: int):
-    """Full-band FD response lambda_eq[k] = sum_l h_hat_l e^{-j 2 pi k l / N}."""
-    return np.fft.fft(np.asarray(h_hat), n=N, axis=-1)
-
-
 def estimate_channel(y_tilde, tables: CombTables, L: int, N: int,
                      criterion: str = "mmse", sigma_v2: float = 0.0,
-                     sigma_h2: float = 1.0) -> ChannelEstimate:
-    """Full chain: comb extraction -> LS/MMSE weights -> taps -> full-band response."""
+                     sigma_h2: float = 1.0):
+    """Full chain: comb extraction -> LS/MMSE weights -> taps -> full-band response.
+
+    Returns (h_hat, lambda_eq): the L recovered taps and the FD response
+    lambda_eq[k] = sum_l h_hat_l e^{-j 2 pi k l / N} that the FDE uses.
+    """
     y_prime = extract_comb(y_tilde, tables.P, tables.Q)
     if criterion == "ls":
         d_hat = ce_ls(y_prime, tables)
@@ -147,7 +141,7 @@ def estimate_channel(y_tilde, tables: CombTables, L: int, N: int,
     else:
         raise ValueError(f"unknown CE criterion {criterion!r}")
     h_hat = fd_to_td(d_hat, tables.P, L)
-    return ChannelEstimate(h_hat=h_hat, lambda_eq=interpolate_response(h_hat, N))
+    return h_hat, np.fft.fft(h_hat, n=N, axis=-1)
 
 
 def theoretical_mse_ls(tables: CombTables, L: int, sigma_v2: float) -> float:

@@ -1,9 +1,11 @@
 """Command-line entry points: ``ftnsim run``, ``ftnsim mse-theory``, ``ftnsim validate``.
 
 Exit codes: 0 success, 2 config-invariant violation, 3 I/O error,
-4 numerical failure (an ill-conditioned pilot comb, hit by LS estimation or
-its closed-form MSE, or flagged in more than 1% of trials).  ``mse-theory``
-still writes its file then, with ``mse_ls`` empty on the ill-conditioned taus.
+4 numerical failure: an ill-conditioned pilot comb hit by LS estimation or
+its closed-form MSE, or, for ``run``, cells on an ill-conditioned comb that
+hold more than 1% of the sweep's trials (such a cell flags all its trials).
+``mse-theory`` still writes its file then, with ``mse_ls`` empty on the
+ill-conditioned taus.
 """
 
 from __future__ import annotations

@@ -66,6 +66,8 @@ class FtnConfig:
             errs.append(f"beta={self.beta} outside [0, 1]")
         if self.N != self.P * self.Q:
             errs.append(f"N={self.N} != P*Q={self.P * self.Q}")
+        if self.L < 1:
+            errs.append(f"L={self.L} < 1")
         if self.P < self.L:
             errs.append(f"P={self.P} < L={self.L}")
         if self.L > self.nu:
@@ -84,8 +86,8 @@ class FtnConfig:
             errs.append(f"csi={self.csi!r} not in (estimated, perfect)")
         if self.se_convention not in ("info_dims", "paper_all_n"):
             errs.append(f"se_convention={self.se_convention!r} unknown")
-        if self.sigma_s2 < 0:
-            errs.append(f"sigma_s2={self.sigma_s2} negative")
+        if not self.sigma_s2 > 0:
+            errs.append(f"sigma_s2={self.sigma_s2} not positive")
         if self.n_ista < 0:
             errs.append("n_ista must be >= 0")
         if self.seed < 0:

@@ -13,15 +13,16 @@ import csv
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import chanest, detector, pilot
-from .channel import colored_noise, noise_factor, sample_channel, transmit_fast
+from .channel import (colored_noise, noise_factor, phi_diag, sample_channel,
+                      transmit_fast)
 from .config import FtnConfig, as_dict, scenario_hash
 from .core import circulant_matvec, complex_gaussian, dft, make_rng
-from .waveform import FtnParams, make_isi_kernel
+from .waveform import build_isi_circulant
 
 # substream tags within one trial
 _SUB_CHANNEL, _SUB_DATA, _SUB_NOISE = 0, 1, 2
@@ -57,8 +58,7 @@ class Scenario:
 
     cfg: FtnConfig
     tau: float
-    kernel: object = field(repr=False)
-    pilot_cfg: pilot.PilotConfig = field(repr=False)
+    lambda_g: np.ndarray = field(repr=False)       # ISI eigenvalues at this tau
     x_p: np.ndarray = field(repr=False)
     tables: chanest.CombTables = field(repr=False)
     noise_factor: np.ndarray = field(repr=False)   # clipped sqrt(lambda_g)
@@ -66,16 +66,15 @@ class Scenario:
 
 
 def build_scenario(cfg: FtnConfig, tau: float | None = None) -> Scenario:
-    cfg.validate()
     if tau is None:
         tau = cfg.tau
-    kernel = make_isi_kernel(FtnParams(tau=tau, beta=cfg.beta, nu=cfg.nu, N=cfg.N))
-    sigma_p2 = pilot.sia_pilot_power(cfg.sigma_s2, cfg.Q)
-    pcfg = pilot.PilotConfig(P=cfg.P, Q=cfg.Q, sigma_p2=sigma_p2, sia_enabled=cfg.sia)
-    return Scenario(cfg=cfg, tau=tau, kernel=kernel, pilot_cfg=pcfg,
-                    x_p=pilot.chu_pilot(pcfg),
-                    tables=chanest.build_comb_tables(kernel, pcfg),
-                    noise_factor=noise_factor(kernel), phi_diag=kernel.phi_diag())
+    # a tau off the config's grid (simulate_ce_mse) is checked like one on it
+    replace(cfg, tau=tau).validate()
+    _, lambda_g = build_isi_circulant(tau, cfg.beta, cfg.nu, cfg.N)
+    x_p = pilot.chu_pilot(cfg.P, cfg.Q, pilot.sia_pilot_power(cfg.sigma_s2, cfg.Q))
+    return Scenario(cfg=cfg, tau=tau, lambda_g=lambda_g, x_p=x_p,
+                    tables=chanest.build_comb_tables(lambda_g, x_p, cfg.Q),
+                    noise_factor=noise_factor(lambda_g), phi_diag=phi_diag(lambda_g))
 
 
 @dataclass
@@ -94,28 +93,27 @@ def run_trial(scenario: Scenario, sigma_v2: float, trial_index: int,
     rng_data = make_rng(cfg.seed, stream, _SUB_DATA)
     rng_noise = make_rng(cfg.seed, stream, _SUB_NOISE)
 
-    chan = sample_channel(cfg.L, cfg.N, rng_ch)
+    h, lambda_h = sample_channel(cfg.L, cfg.N, rng_ch)
     bits = rng_data.integers(0, 2, cfg.N * _BITS_PER_SYMBOL)
     s = detector.map_bits(bits, cfg.sigma_s2)
-    x = pilot.compose_tx(s, scenario.x_p, scenario.pilot_cfg)
+    x = pilot.compose_tx(s, scenario.x_p, cfg.Q, cfg.sia)
 
     noise = colored_noise(scenario.noise_factor, sigma_v2, rng_noise)
-    y = transmit_fast(x, chan, scenario.kernel, noise=noise)
+    y = transmit_fast(x, lambda_h, scenario.lambda_g, noise=noise)
     y_tilde = dft(y)
 
     if cfg.csi == "perfect":
-        lambda_eq = chan.lambda_h
+        lambda_eq = lambda_h
         sq_err = 0.0
     else:
-        est = chanest.estimate_channel(
+        h_hat, lambda_eq = chanest.estimate_channel(
             y_tilde, scenario.tables, cfg.L, cfg.N,
             criterion=cfg.ce_criterion, sigma_v2=sigma_v2, sigma_h2=1.0 / cfg.L)
-        lambda_eq = est.lambda_eq
-        sq_err = float(np.add.reduce(np.abs(chan.h - est.h_hat) ** 2))
+        sq_err = float(np.add.reduce(np.abs(h - h_hat) ** 2))
 
     scale = (1.0 - 1.0 / cfg.Q) if cfg.sia else 1.0
     w = detector.fde_weights(
-        lambda_eq, scenario.kernel.lambda_g, scenario.phi_diag,
+        lambda_eq, scenario.lambda_g, scenario.phi_diag,
         sigma_s2_eff=scale * cfg.sigma_s2, sigma_v2_eff=scale * sigma_v2,
         criterion=cfg.eq_criterion)
     z_tilde = detector.zero_pilot_bins(y_tilde, cfg.P, cfg.Q)
@@ -297,7 +295,6 @@ def simulate_ce_mse(cfg: FtnConfig, tau: float, sigma_v2: float, n_trials: int,
         seed = cfg.seed
     # pilot power follows the configured (not the swept) data power
     scenario = build_scenario(cfg, tau)
-    kernel = scenario.kernel
     n, L, Q = cfg.N, cfg.L, cfg.Q
 
     sums = {c: 0.0 for c in criteria}
@@ -316,10 +313,10 @@ def simulate_ce_mse(cfg: FtnConfig, tau: float, sigma_v2: float, n_trials: int,
 
         idx = rng_s.integers(0, 4, size=(b, n))
         s = detector.qpsk_symbols(idx, sigma_s2)
-        x = pilot.compose_tx(s, scenario.x_p, scenario.pilot_cfg)
+        x = pilot.compose_tx(s, scenario.x_p, Q, cfg.sia)
 
         eta = colored_noise(scenario.noise_factor, sigma_v2, rng_w, trials=b)
-        y = circulant_matvec(kernel.lambda_g * lam_h, x) + eta
+        y = circulant_matvec(scenario.lambda_g * lam_h, x) + eta
         comb = chanest.extract_comb(dft(y), cfg.P, Q)
 
         for crit in criteria:

@@ -10,35 +10,7 @@ without ever being materialized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class PilotConfig:
-    """Comb geometry and pilot power.
-
-    With ``sia_enabled`` the pilot power follows the rebalancing rule
-    sigma_p^2 = (1 - 1/Q) sigma_s^2; pass the resulting value explicitly.
-    """
-
-    P: int
-    Q: int
-    sigma_p2: float
-    sia_enabled: bool = True
-
-    def __post_init__(self):
-        if self.P < 1 or self.Q < 1:
-            raise ValueError("P and Q must be positive")
-        if self.sia_enabled and self.Q < 2:
-            raise ValueError("alignment needs Q >= 2 (Q = 1 would annihilate all data)")
-        if self.sigma_p2 < 0:
-            raise ValueError("sigma_p2 must be non-negative")
-
-    @property
-    def N(self) -> int:
-        return self.P * self.Q
 
 
 def sia_pilot_power(sigma_s2: float, Q: int) -> float:
@@ -56,10 +28,14 @@ def chu_sequence(P: int) -> np.ndarray:
     return np.exp(1j * phase)
 
 
-def chu_pilot(cfg: PilotConfig) -> np.ndarray:
-    """Q-fold repetition of one Chu sequence, scaled to per-symbol power sigma_p2."""
-    c = np.sqrt(cfg.sigma_p2) * chu_sequence(cfg.P)
-    return np.tile(c, cfg.Q)
+def chu_pilot(P: int, Q: int, sigma_p2: float) -> np.ndarray:
+    """Q-fold repetition of one length-P Chu sequence, scaled to per-symbol power sigma_p2.
+
+    With alignment on, sigma_p2 follows the rebalancing rule
+    ``sia_pilot_power``.
+    """
+    c = np.sqrt(sigma_p2) * chu_sequence(P)
+    return np.tile(c, Q)
 
 
 def cyclic_mean(v, Q: int):
@@ -86,9 +62,9 @@ def apply_projector(v, Q: int):
     return np.asarray(v) - cyclic_mean(v, Q)
 
 
-def compose_tx(s, x_p, cfg: PilotConfig):
+def compose_tx(s, x_p, Q: int, sia: bool):
     """Transmit block: (I - J) s + x_p with alignment on, s + x_p otherwise."""
     s = np.asarray(s)
-    if cfg.sia_enabled:
-        s = apply_projector(s, cfg.Q)
+    if sia:
+        s = apply_projector(s, Q)
     return s + np.asarray(x_p)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ftnsim.waveform import FtnParams, make_isi_kernel
+from ftnsim.waveform import build_isi_circulant
 
 
 @pytest.fixture
@@ -10,10 +10,10 @@ def rng():
 
 
 @pytest.fixture(scope="session")
-def default_kernel():
-    return make_isi_kernel(FtnParams(tau=0.8, beta=0.5, nu=10, N=128))
+def default_lambda_g():
+    return build_isi_circulant(tau=0.8, beta=0.5, nu=10, N=128)[1]
 
 
 @pytest.fixture(scope="session")
-def small_kernel():
-    return make_isi_kernel(FtnParams(tau=0.8, beta=0.5, nu=4, N=32))
+def small_lambda_g():
+    return build_isi_circulant(tau=0.8, beta=0.5, nu=4, N=32)[1]

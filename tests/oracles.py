@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ftnsim.pilot import apply_projector
-from ftnsim.waveform import FtnParams, IsiKernel, isi_taps
+from ftnsim.waveform import isi_taps
 
 
 class NotPSDError(ValueError):
@@ -54,14 +54,13 @@ def psd_factor(m, clip_eps=1e-10):
     return b, n_clipped
 
 
-def build_isi_toeplitz(params: FtnParams) -> np.ndarray:
+def build_isi_toeplitz(tau: float, beta: float, nu: int, N: int) -> np.ndarray:
     """Symmetric banded Toeplitz G with first column [g(0),...,g(nu T),0,...,0]."""
-    g = isi_taps(params)
-    n = params.N
-    mat = np.zeros((n, n))
-    idx = np.arange(n)
+    g = isi_taps(tau, beta, nu)
+    mat = np.zeros((N, N))
+    idx = np.arange(N)
     lag = np.abs(idx[:, None] - idx[None, :])
-    mask = lag <= params.nu
+    mask = lag <= nu
     mat[mask] = g[lag[mask]]
     return mat
 
@@ -72,32 +71,31 @@ def projector_dense(P: int, Q: int) -> np.ndarray:
     return np.eye(P * Q) - j
 
 
-def transmit_exact(x, chan, kernel: IsiKernel, guard: int | None = None, noise=None):
+def transmit_exact(x, h, tau: float, beta: float, nu: int, N: int,
+                   guard: int | None = None, noise=None):
     """Exact guard-extended chain: prepend/append guard symbols, run the banded
-    Toeplitz channel and ISI filters, strip the guard, add noise.
+    Toeplitz channel (taps ``h``) and ISI filters, strip the guard, add noise.
 
-    ``guard`` defaults to the kernel's nu (the CP/CS length of the block
-    design).  The output matches ``transmit_fast`` to machine precision
-    whenever guard >= nu + L - 1; with guard = nu and L > 1 the first few
-    samples deviate by the truncation tail of g (see tests for the measured
-    regime).
+    ``guard`` defaults to nu (the CP/CS length of the block design).  The
+    output matches ``transmit_fast`` to machine precision whenever
+    guard >= nu + L - 1; with guard = nu and L > 1 the first few samples
+    deviate by the truncation tail of g (see tests for the measured regime).
     """
     x = np.asarray(x)
-    n, nu = kernel.N, kernel.params.nu
-    if len(x) != n:
-        raise ValueError(f"block length {len(x)} != N={n}")
+    if len(x) != N:
+        raise ValueError(f"block length {len(x)} != N={N}")
     if guard is None:
         guard = nu
     if guard < nu:
         raise ValueError("guard must be >= nu for the symmetric ISI span")
-    g = isi_taps(kernel.params)
-    s_cp = np.concatenate([x[n - guard:], x, x[:guard]])
+    g = isi_taps(tau, beta, nu)
+    s_cp = np.concatenate([x[N - guard:], x, x[:guard]])
     # causal channel filter (lower-triangular Toeplitz)
-    v = np.convolve(s_cp, chan.h)[: len(s_cp)]
+    v = np.convolve(s_cp, h)[: len(s_cp)]
     # symmetric banded ISI filter: y[m] = sum_{k=-nu}^{nu} g(k) v[m+k]
     g_sym = np.concatenate([g[::-1], g[1:]])
     y_ext = np.convolve(v, g_sym)[nu : nu + len(v)]
-    y = y_ext[guard : guard + n]
+    y = y_ext[guard : guard + N]
     if noise is not None:
         y = y + noise
     return y

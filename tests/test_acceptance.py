@@ -20,7 +20,7 @@ from ftnsim.detector import ista_detect, map_bits
 from ftnsim.harness import (build_scenario, ebn0_to_sigma_v2, emit_results,
                             run_sweep, run_trial, simulate_ce_mse)
 from ftnsim.pilot import apply_projector, compose_tx
-from ftnsim.waveform import FtnParams, make_isi_kernel
+from ftnsim.waveform import build_isi_circulant
 from oracles import circulant_dense, projector_dense, transmit_exact
 
 EBN0_GRID = (4.0, 8.0, 12.0, 16.0)
@@ -153,18 +153,20 @@ def test_criterion_4_ber_orderings(report):
 def test_criterion_5_exact_chain_closures(report):
     checks = []
 
-    kernel = make_isi_kernel(FtnParams(tau=0.8, beta=0.5, nu=10, N=64))
-    chan = sample_channel(8, 64, make_rng(50))
+    wave = dict(tau=0.8, beta=0.5, nu=10, N=64)
+    _, lambda_g = build_isi_circulant(**wave)
+    h, lambda_h = sample_channel(8, 64, make_rng(50))
     x = complex_gaussian(64, 1.0, make_rng(51))
-    ye = transmit_exact(x, chan, kernel, guard=kernel.params.nu + 7)
-    checks.append(("transmit closure", np.abs(ye - transmit_fast(x, chan, kernel)).max(), 1e-10))
+    ye = transmit_exact(x, h, **wave, guard=wave["nu"] + 7)
+    checks.append(("transmit closure",
+                   np.abs(ye - transmit_fast(x, lambda_h, lambda_g)).max(), 1e-10))
 
     scenario = build_scenario(FtnConfig())
-    chan = sample_channel(8, 128, make_rng(52))
-    x = compose_tx(np.zeros(128, complex), scenario.x_p, scenario.pilot_cfg)
-    y_fd = dft(transmit_fast(x, chan, scenario.kernel))
-    est = estimate_channel(y_fd, scenario.tables, 8, 128, "ls")
-    checks.append(("CE recovery", float(np.linalg.norm(est.h_hat - chan.h)), 1e-9))
+    h, lambda_h = sample_channel(8, 128, make_rng(52))
+    x = compose_tx(np.zeros(128, complex), scenario.x_p, scenario.cfg.Q, scenario.cfg.sia)
+    y_fd = dft(transmit_fast(x, lambda_h, scenario.lambda_g))
+    h_hat, _ = estimate_channel(y_fd, scenario.tables, 8, 128, "ls")
+    checks.append(("CE recovery", float(np.linalg.norm(h_hat - h)), 1e-9))
 
     rng = make_rng(53)
     s = map_bits(rng.integers(0, 2, 256), scenario.cfg.sigma_s2)

@@ -4,14 +4,13 @@ import pytest
 from ftnsim import chanest
 from ftnsim.chanest import (IllConditionedCombError, build_comb_tables, ce_ls,
                             ce_mmse, estimate_channel, extract_comb, fd_to_td,
-                            interpolate_response, mmse_weights, theoretical_mse_ls,
-                            theoretical_mse_mmse)
+                            mmse_weights, theoretical_mse_ls, theoretical_mse_mmse)
 from ftnsim.channel import colored_noise, noise_factor, sample_channel, transmit_fast
 from ftnsim.config import FtnConfig
 from ftnsim.core import dft, make_rng
 from ftnsim.harness import build_scenario, ebn0_to_sigma_v2, simulate_ce_mse
-from ftnsim.pilot import PilotConfig, chu_pilot, compose_tx, sia_pilot_power
-from ftnsim.waveform import FtnParams, make_isi_kernel
+from ftnsim.pilot import chu_pilot, compose_tx, sia_pilot_power
+from ftnsim.waveform import build_isi_circulant
 
 
 @pytest.fixture(scope="module")
@@ -19,14 +18,14 @@ def scenario():
     return build_scenario(FtnConfig())
 
 
-def received_fd(scenario, chan, rng, sigma_v2=0.0, sigma_s2=1.0):
+def received_fd(scenario, lambda_h, rng, sigma_v2=0.0, sigma_s2=1.0):
     a = np.sqrt(sigma_s2 / 2)
     s = a * (rng.choice([-1, 1], 128) + 1j * rng.choice([-1, 1], 128))
-    x = compose_tx(s, scenario.x_p, scenario.pilot_cfg)
+    x = compose_tx(s, scenario.x_p, scenario.cfg.Q, scenario.cfg.sia)
     noise = None
     if sigma_v2 > 0:
-        noise = colored_noise(noise_factor(scenario.kernel), sigma_v2, rng)
-    return dft(transmit_fast(x, chan, scenario.kernel, noise=noise))
+        noise = colored_noise(noise_factor(scenario.lambda_g), sigma_v2, rng)
+    return dft(transmit_fast(x, lambda_h, scenario.lambda_g, noise=noise))
 
 
 class TestExtractComb:
@@ -53,24 +52,21 @@ class TestExtractComb:
 
 class TestLs:
     def test_noise_free_exact(self, scenario):
-        chan = sample_channel(8, 128, make_rng(1))
-        y_fd = received_fd(scenario, chan, make_rng(2))
+        _, lambda_h = sample_channel(8, 128, make_rng(1))
+        y_fd = received_fd(scenario, lambda_h, make_rng(2))
         d_hat = ce_ls(extract_comb(y_fd, 8, 16), scenario.tables)
-        np.testing.assert_allclose(d_hat, chan.lambda_h[::16], atol=1e-10)
+        np.testing.assert_allclose(d_hat, lambda_h[::16], atol=1e-10)
 
     def test_flat_channel(self, scenario):
-        chan = sample_channel(8, 128, make_rng(3))
-        chan = type(chan)(h=np.eye(8)[0].astype(complex),
-                          lambda_h=np.ones(128, complex))
-        y_fd = received_fd(scenario, chan, make_rng(4))
+        y_fd = received_fd(scenario, np.ones(128, complex), make_rng(4))
         d_hat = ce_ls(extract_comb(y_fd, 8, 16), scenario.tables)
         np.testing.assert_allclose(d_hat, np.ones(8), atol=1e-10)
 
     def test_full_chain_recovery(self, scenario):
-        chan = sample_channel(8, 128, make_rng(5))
-        y_fd = received_fd(scenario, chan, make_rng(6))
-        est = estimate_channel(y_fd, scenario.tables, 8, 128, "ls")
-        assert np.linalg.norm(est.h_hat - chan.h) < 1e-9
+        h, lambda_h = sample_channel(8, 128, make_rng(5))
+        y_fd = received_fd(scenario, lambda_h, make_rng(6))
+        h_hat, _ = estimate_channel(y_fd, scenario.tables, 8, 128, "ls")
+        assert np.linalg.norm(h_hat - h) < 1e-9
 
     def test_null_comb_rejected(self):
         tables = chanest.CombTables(P=4, Q=4, gamma=np.array([1, 1, 1e-9, 1.0]),
@@ -91,8 +87,8 @@ class TestLs:
 
 class TestMmse:
     def test_zero_noise_coincides_with_ls(self, scenario):
-        chan = sample_channel(8, 128, make_rng(7))
-        y_prime = extract_comb(received_fd(scenario, chan, make_rng(8)), 8, 16)
+        _, lambda_h = sample_channel(8, 128, make_rng(7))
+        y_prime = extract_comb(received_fd(scenario, lambda_h, make_rng(8)), 8, 16)
         ls = ce_ls(y_prime, scenario.tables)
         mm = ce_mmse(y_prime, scenario.tables, 0.0, 1 / 8)
         assert np.abs(ls - mm).max() < 1e-10
@@ -159,8 +155,11 @@ class TestFdToTd:
             fd_to_td(np.ones(4), 4, 6)
 
     def test_interpolation(self, rng):
-        h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        lam = interpolate_response(h, 32)
+        # the full-band response estimate_channel hands the FDE
+        tables = chanest.CombTables(P=8, Q=4, gamma=np.ones(8, complex),
+                                    phi_prime=np.ones(8))
+        y = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+        h, lam = estimate_channel(y, tables, 4, 32, "ls")
         k = 5
         expected = np.sum(h * np.exp(-2j * np.pi * k * np.arange(4) / 32))
         assert lam[k] == pytest.approx(expected, abs=1e-12)
@@ -233,12 +232,12 @@ class TestInterferenceProperties:
 
     def test_unbiased_noise_free_chain(self):
         # exact recovery for any L <= P
-        kernel = make_isi_kernel(FtnParams(tau=0.9, beta=0.5, nu=8, N=64))
-        pcfg = PilotConfig(P=8, Q=8, sigma_p2=sia_pilot_power(1.0, 8))
-        tables = build_comb_tables(kernel, pcfg)
+        _, lambda_g = build_isi_circulant(tau=0.9, beta=0.5, nu=8, N=64)
+        x_p = chu_pilot(8, 8, sia_pilot_power(1.0, 8))
+        tables = build_comb_tables(lambda_g, x_p, 8)
         for L in (1, 3, 8):
-            chan = sample_channel(L, 64, make_rng(20 + L))
-            x = compose_tx(np.zeros(64, complex), chu_pilot(pcfg), pcfg)
-            y_fd = dft(transmit_fast(x, chan, kernel))
-            est = estimate_channel(y_fd, tables, L, 64, "ls")
-            assert np.linalg.norm(est.h_hat - chan.h) < 1e-9
+            h, lambda_h = sample_channel(L, 64, make_rng(20 + L))
+            x = compose_tx(np.zeros(64, complex), x_p, 8, sia=True)
+            y_fd = dft(transmit_fast(x, lambda_h, lambda_g))
+            h_hat, _ = estimate_channel(y_fd, tables, L, 64, "ls")
+            assert np.linalg.norm(h_hat - h) < 1e-9

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ftnsim.core import circulant_eigenvalues, complex_gaussian, dft, idft, make_rng
-from ftnsim.waveform import FtnParams
 from oracles import NotPSDError, build_isi_toeplitz, circulant_dense, psd_factor
 
 
@@ -71,7 +70,7 @@ class TestPsdFactor:
         assert clipped == 0
 
     def test_isi_matrix(self):
-        g = build_isi_toeplitz(FtnParams(tau=0.8, beta=0.5, nu=10, N=32))
+        g = build_isi_toeplitz(tau=0.8, beta=0.5, nu=10, N=32)
         b, _ = psd_factor(g.astype(complex))
         assert np.abs(b @ b.conj().T - g).max() < 1e-8
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ftnsim.channel import sample_channel, transmit_fast
+from ftnsim.channel import phi_diag, sample_channel, transmit_fast
 from ftnsim.config import FtnConfig
 from ftnsim.core import dft, make_rng
 from ftnsim.detector import (demap_bits, equalize, fde_weights, ista_detect,
@@ -142,7 +142,7 @@ class TestZeroPilotBins:
         scenario = build_scenario(FtnConfig())
         rng = make_rng(2)
         s = map_bits(rng.integers(0, 2, 256), scenario.cfg.sigma_s2)
-        x = compose_tx(s, scenario.x_p, scenario.pilot_cfg)
+        x = compose_tx(s, scenario.x_p, scenario.cfg.Q, scenario.cfg.sia)
         fd = dft(x)
         pilot_fd = dft(scenario.x_p)
         removed = np.abs(fd[::16]) ** 2
@@ -164,12 +164,12 @@ class TestEqualize:
     def test_noise_free_chain_recovers_projected_data(self):
         scenario = build_scenario(FtnConfig())
         rng = make_rng(3)
-        chan = sample_channel(8, 128, rng)
+        _, lambda_h = sample_channel(8, 128, rng)
         s = map_bits(rng.integers(0, 2, 256), scenario.cfg.sigma_s2)
-        x = compose_tx(s, scenario.x_p, scenario.pilot_cfg)
-        y_fd = dft(transmit_fast(x, chan, scenario.kernel))
-        w = fde_weights(chan.lambda_h, scenario.kernel.lambda_g,
-                        scenario.kernel.phi_diag(), 1.0, 0.0, "ls")
+        x = compose_tx(s, scenario.x_p, scenario.cfg.Q, scenario.cfg.sia)
+        y_fd = dft(transmit_fast(x, lambda_h, scenario.lambda_g))
+        w = fde_weights(lambda_h, scenario.lambda_g,
+                        phi_diag(scenario.lambda_g), 1.0, 0.0, "ls")
         u = equalize(zero_pilot_bins(y_fd, 8, 16), w)
         psi_s = apply_projector(s, scenario.cfg.Q)
         mask = np.ones(128, bool)
@@ -181,11 +181,11 @@ class TestEqualize:
         # inverts the circulant channel exactly
         scenario = build_scenario(FtnConfig())
         rng = make_rng(4)
-        chan = sample_channel(8, 128, rng)
+        _, lambda_h = sample_channel(8, 128, rng)
         s = map_bits(rng.integers(0, 2, 256), scenario.cfg.sigma_s2)
-        y = transmit_fast(s, chan, scenario.kernel)
-        w = fde_weights(chan.lambda_h, scenario.kernel.lambda_g,
-                        scenario.kernel.phi_diag(), 1.0, 0.0, "mmse")
+        y = transmit_fast(s, lambda_h, scenario.lambda_g)
+        w = fde_weights(lambda_h, scenario.lambda_g,
+                        phi_diag(scenario.lambda_g), 1.0, 0.0, "mmse")
         s_hat = equalize(dft(y), w)
         assert np.abs(s_hat - s).max() < 1e-8
 

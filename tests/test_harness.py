@@ -36,6 +36,9 @@ class TestConfig:
             replace(FtnConfig(), nu=70).validate()
         with pytest.raises(ConfigError):
             replace(FtnConfig(), seed=-1).validate()
+        for bad in (dict(L=0), dict(L=-1), dict(L=0, nu=0), dict(sigma_s2=0.0)):
+            with pytest.raises(ConfigError):
+                replace(FtnConfig(), **bad).validate()
 
     def test_file_round_trip(self, tmp_path):
         cfg = replace(FtnConfig(), tau=0.9, seed=777, sia=False,
@@ -159,14 +162,23 @@ class TestRunSweep:
         assert row.measured_tx_power == pytest.approx(2 * (1 - 1 / 16), rel=0.05)
 
     def test_golden_counts(self):
-        # integer columns are immune to last-ulp float differences across
+        # (trials, bit_errors) exactly, (mse_sim, measured_tx_power) to
+        # rel 1e-12, which allows last-ulp float differences across
         # platforms; a change that alters the simulated numbers updates them
-        golden = {101: [(10, 224), (43, 120), (150, 3)],
-                  202: [(10, 202), (27, 105), (150, 7)]}
-        for seed, counts in golden.items():
+        golden = {101: [(10, 224, 0.014486666829849898, 1.8818359375),
+                        (43, 120, 0.003956738209569547, 1.8727970566860468),
+                        (150, 3, 0.0009732328472217823, 1.8789973958333333)],
+                  202: [(10, 202, 0.016210693722549706, 1.87666015625),
+                        (27, 105, 0.0042773127808855916, 1.8720703125),
+                        (150, 7, 0.0010539801890272601, 1.8745572916666666)]}
+        for seed, expected in golden.items():
             cfg = replace(FtnConfig(), seed=seed, ebn0_grid_db=(4.0, 10.0, 16.0),
                           min_trials=10, max_trials=150, target_bit_errors=100)
-            assert [(r.trials, r.bit_errors) for r in run_sweep(cfg).rows] == counts
+            rows = run_sweep(cfg).rows
+            assert [(r.trials, r.bit_errors) for r in rows] == [e[:2] for e in expected]
+            for r, (_, _, mse, power) in zip(rows, expected):
+                assert r.mse_sim == pytest.approx(mse, rel=1e-12)
+                assert r.measured_tx_power == pytest.approx(power, rel=1e-12)
 
     def test_flagged_trials_count_the_null_comb(self):
         cfg = replace(FtnConfig(), **FAST)
@@ -228,6 +240,12 @@ class TestCli:
                        "--override", "seed=-1")
         assert proc.returncode == 2
         assert "seed=-1" in proc.stderr
+
+    def test_run_zero_taps_is_config_error(self, cfg_file, tmp_path):
+        proc = run_cli("run", "--config", cfg_file, "--out", str(tmp_path),
+                       "--override", "L=0")
+        assert proc.returncode == 2
+        assert "L=0 < 1" in proc.stderr
 
     def test_run_writes_csv(self, cfg_file, tmp_path):
         out = tmp_path / "out"

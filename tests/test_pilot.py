@@ -1,3 +1,4 @@
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -5,15 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ftnsim.config import ConfigError, FtnConfig
 from ftnsim.core import dft, make_rng
 from ftnsim.detector import ista_detect
-from ftnsim.pilot import (PilotConfig, apply_projector, chu_pilot, compose_tx,
-                          cyclic_mean, sia_pilot_power)
+from ftnsim.pilot import (apply_projector, chu_pilot, compose_tx, cyclic_mean,
+                          sia_pilot_power)
 from oracles import projector_dense
 
-# projector geometry of the default config: N = P * Q
+# projector geometry and pilot power of the default config: N = P * Q
 P, Q = 8, 16
 N = P * Q
+SIGMA_P2 = sia_pilot_power(1.0, Q)
 
 
 def qpsk_block(rng, n, sigma_s2=1.0):
@@ -22,36 +25,37 @@ def qpsk_block(rng, n, sigma_s2=1.0):
 
 
 @pytest.fixture
-def cfg():
-    return PilotConfig(P=8, Q=16, sigma_p2=sia_pilot_power(1.0, 16))
+def x_p():
+    return chu_pilot(P, Q, SIGMA_P2)
 
 
 class TestChuPilot:
-    def test_constant_modulus(self, cfg):
-        x_p = chu_pilot(cfg)
-        np.testing.assert_allclose(np.abs(x_p) ** 2, cfg.sigma_p2, atol=1e-12)
+    def test_constant_modulus(self, x_p):
+        np.testing.assert_allclose(np.abs(x_p) ** 2, SIGMA_P2, atol=1e-12)
 
-    def test_comb_spectrum(self, cfg):
-        x_fd = dft(chu_pilot(cfg))
-        mask = np.ones(cfg.N, bool)
-        mask[:: cfg.Q] = False
+    def test_comb_spectrum(self, x_p):
+        x_fd = dft(x_p)
+        mask = np.ones(N, bool)
+        mask[::Q] = False
         off_comb = np.sum(np.abs(x_fd[mask]) ** 2)
         total = np.sum(np.abs(x_fd) ** 2)
         assert off_comb < 1e-20 * total
 
-    def test_flat_comb_magnitudes(self, cfg):
-        x_fd = dft(chu_pilot(cfg))
-        mags = np.abs(x_fd[:: cfg.Q])
+    def test_flat_comb_magnitudes(self, x_p):
+        x_fd = dft(x_p)
+        mags = np.abs(x_fd[::Q])
         assert (mags.max() - mags.min()) / mags.mean() < 1e-10
 
     def test_odd_period_flat_dft(self):
-        cfg = PilotConfig(P=7, Q=4, sigma_p2=1.0)
-        mags = np.abs(dft(chu_pilot(cfg))[:: cfg.Q])
+        mags = np.abs(dft(chu_pilot(7, 4, 1.0))[::4])
         assert (mags.max() - mags.min()) / mags.mean() < 1e-10
 
     def test_q1_with_sia_rejected(self):
-        with pytest.raises(ValueError):
-            PilotConfig(P=8, Q=1, sigma_p2=1.0, sia_enabled=True)
+        # a valid N=8 config apart from alignment with Q = 1
+        cfg = FtnConfig(P=8, Q=1, N=8, nu=3, L=3, sia=False)
+        cfg.validate()
+        with pytest.raises(ConfigError, match=r"^alignment requires Q >= 2$"):
+            replace(cfg, sia=True).validate()
 
 
 class TestSiaTransform:
@@ -126,11 +130,10 @@ class TestProjector:
 
 class TestComposeTx:
     def test_sia_off_no_pilot_passthrough(self):
-        cfg = PilotConfig(P=8, Q=16, sigma_p2=0.0, sia_enabled=False)
-        s = qpsk_block(make_rng(6), cfg.N)
-        np.testing.assert_array_equal(compose_tx(s, np.zeros(cfg.N), cfg), s)
+        s = qpsk_block(make_rng(6), N)
+        np.testing.assert_array_equal(compose_tx(s, np.zeros(N), Q, sia=False), s)
 
-    def test_data_power_after_projection(self, cfg):
+    def test_data_power_after_projection(self):
         rng = make_rng(7)
         total = 0.0
         blocks = 10_000
@@ -140,19 +143,19 @@ class TestComposeTx:
         avg = total / (blocks * N)
         assert avg == pytest.approx((1 - 1 / 16), rel=0.01)
 
-    def test_comb_bins_carry_only_pilot(self, cfg):
-        s = qpsk_block(make_rng(8), cfg.N)
-        x = compose_tx(s, chu_pilot(cfg), cfg)
-        fd_x = dft(x)[:: cfg.Q]
-        fd_p = dft(chu_pilot(cfg))[:: cfg.Q]
+    def test_comb_bins_carry_only_pilot(self, x_p):
+        s = qpsk_block(make_rng(8), N)
+        x = compose_tx(s, x_p, Q, sia=True)
+        fd_x = dft(x)[::Q]
+        fd_p = dft(x_p)[::Q]
         assert np.abs(fd_x - fd_p).max() < 1e-12
 
-    def test_total_power_budget(self, cfg):
+    def test_total_power_budget(self, x_p):
         # pilot (1-1/Q) + projected data (1-1/Q): measured, per the
         # rebalancing rule taken literally
         rng = make_rng(9)
-        s = qpsk_block(rng, (10_000, cfg.N))
-        x = compose_tx(s, chu_pilot(cfg), cfg)
+        s = qpsk_block(rng, (10_000, N))
+        x = compose_tx(s, x_p, Q, sia=True)
         measured = np.mean(np.abs(x) ** 2)
         expected = 2 * (1 - 1 / 16)
         assert measured == pytest.approx(expected, rel=0.01)
