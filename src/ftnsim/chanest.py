@@ -4,7 +4,7 @@ The estimator sees the P comb bins k = iQ of the received spectrum, where
 the known quantity gamma_i = lambda_g[iQ] * pilot_fd[iQ] multiplies the
 unknown FD channel response d_i = lambda_h[iQ].  Taps are recovered by a
 scaled partial IDFT, and the full-band response for equalization by a
-zero-padded DFT of the taps.
+zero-padded DFT of the taps; both are small DFT-matrix products.
 
 With alignment active the data contributes exactly nothing on the comb, so
 the closed forms below are exact for the circulant noise model (the comb
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import phi_diag
-from .core import dft
+from .core import dft, dft_rows
 
 
 class IllConditionedCombError(RuntimeError):
@@ -114,6 +114,14 @@ def ce_mmse(y_prime, tables: CombTables, sigma_v2: float, sigma_h2: float):
     return w * np.asarray(y_prime)
 
 
+@functools.lru_cache(maxsize=None)
+def _tap_block(P: int, L: int) -> np.ndarray:
+    """Read-only P-by-L block of the P-point inverse DFT, scaled by 1/P."""
+    block = dft_rows(L, P).T.conj() / P
+    block.flags.writeable = False
+    return block
+
+
 def fd_to_td(d_hat, P: int, L: int):
     """Recover the L taps: h_hat = (1/sqrt(P)) F_{P,L}^H d_hat."""
     d_hat = np.asarray(d_hat)
@@ -121,8 +129,8 @@ def fd_to_td(d_hat, P: int, L: int):
         raise ValueError(f"d_hat length {d_hat.shape[-1]} != P = {P}")
     if P < L:
         raise ValueError(f"need P >= L, got P={P}, L={L}")
-    # (1/sqrt(P)) F_{P}^H restricted to the first L rows == sqrt(P)*ifft, truncated
-    return np.fft.ifft(d_hat, axis=-1)[..., :L]
+    # (1/sqrt(P)) F_{P}^H restricted to the first L rows == ifft, truncated
+    return d_hat @ _tap_block(P, L)
 
 
 def estimate_channel(y_tilde, tables: CombTables, L: int, N: int,
@@ -141,7 +149,7 @@ def estimate_channel(y_tilde, tables: CombTables, L: int, N: int,
     else:
         raise ValueError(f"unknown CE criterion {criterion!r}")
     h_hat = fd_to_td(d_hat, tables.P, L)
-    return h_hat, np.fft.fft(h_hat, n=N, axis=-1)
+    return h_hat, h_hat @ dft_rows(L, N)
 
 
 def theoretical_mse_ls(tables: CombTables, L: int, sigma_v2: float) -> float:

@@ -1,9 +1,15 @@
 """Frequency-selective Rayleigh channel, colored noise, and the transmit operator.
 
-The CP/CS guard makes the ISI and multipath matrices circulant, so the
-transmit operator is a product of eigenvalues via FFT.  Noise at the
-matched-filter output is colored with covariance sigma_v^2 * G, generated
-directly from the circulant factor sqrt(lambda_g).
+The CP/CS guard makes the ISI and multipath matrices circulant, so both
+are diagonal in the DFT basis.  The receiver reads only the unitary
+spectrum y~ = dft(y), so the channel works on spectra (the per-bin model
+of Sugiura, IEEE WCL 2013):
+
+    y~ = lambda_g * lambda_h * x~ + eta~,   x~ = dft(x),
+
+where the noise spectrum eta~ = dft(eta) of the matched-filter noise
+eta ~ CN(0, sigma_v^2 G) is drawn directly from the circulant factor
+sqrt(lambda_g).  The time-domain chain lives in the tests as an oracle.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ import math
 
 import numpy as np
 
-from .core import circulant_matvec, complex_gaussian
+from .core import complex_gaussian, dft_rows
 
 
 def sample_channel(L: int, N: int, rng):
@@ -24,8 +30,8 @@ def sample_channel(L: int, N: int, rng):
     vector, without its dispatch cost.
     """
     h = complex_gaussian(L, 1.0 / L, rng)
-    h = h / math.sqrt(h.real.dot(h.real) + h.imag.dot(h.imag))
-    return h, np.fft.fft(h, n=N)
+    h /= math.sqrt(h.real.dot(h.real) + h.imag.dot(h.imag))
+    return h, h @ dft_rows(L, N)
 
 
 # eigenvalues of G below this fraction of the largest are raised to it
@@ -50,25 +56,34 @@ def phi_diag(lambda_g) -> np.ndarray:
 
 def colored_noise(sqrt_lambda_g, sigma_v2: float, rng,
                   trials: int | None = None) -> np.ndarray:
-    """eta = sqrt(sigma_v2) * B w with B B^H = G, B = F^H diag(sqrt_lambda_g) F.
+    """Noise spectrum dft(eta) = sqrt(sigma_v2 / N) * sqrt_lambda_g * fft(w), w ~ CN(0, I).
 
-    ``sqrt_lambda_g`` is ``noise_factor(lambda_g)``; optional leading trials axis.
+    This is the unitary DFT of eta = sqrt(sigma_v2) * B w with B B^H = G,
+    B = F^H diag(sqrt_lambda_g) F, so its covariance is
+    sigma_v2 * diag(sqrt_lambda_g**2) per trial.  ``sqrt_lambda_g`` is
+    ``noise_factor(lambda_g)``; optional leading trials axis.
     """
     if sigma_v2 < 0:
         raise ValueError("sigma_v2 must be non-negative")
     n = len(sqrt_lambda_g)
     shape = (n,) if trials is None else (trials, n)
     w = complex_gaussian(n, 1.0, rng, shape=shape)
-    eta = np.fft.ifft(sqrt_lambda_g * np.fft.fft(w, axis=-1), axis=-1)
-    return math.sqrt(sigma_v2) * eta
+    eta_fd = np.fft.fft(w, axis=-1)
+    eta_fd *= math.sqrt(sigma_v2 / n) * sqrt_lambda_g
+    return eta_fd
 
 
-def transmit_fast(x, lambda_h, lambda_g, noise=None):
-    """y = Theta x + eta with Theta = F^H diag(lambda_g lambda_h) F."""
-    x = np.asarray(x)
-    if x.shape[-1] != len(lambda_g):
-        raise ValueError(f"block length {x.shape[-1]} != N={len(lambda_g)}")
-    y = circulant_matvec(lambda_g * lambda_h, x)
+def transmit_fast(x_tilde, lambda_h, lambda_g, noise=None):
+    """Received spectrum y~ = lambda_g * lambda_h * x~ + noise, per bin.
+
+    ``x_tilde`` is the unitary spectrum dft(x) of the transmit block and
+    ``noise`` a noise spectrum from ``colored_noise``; then y~ = dft(Theta x
+    + eta) with Theta = F^H diag(lambda_g lambda_h) F.
+    """
+    x_tilde = np.asarray(x_tilde)
+    if x_tilde.shape[-1] != len(lambda_g):
+        raise ValueError(f"block length {x_tilde.shape[-1]} != N={len(lambda_g)}")
+    y_tilde = lambda_g * lambda_h * x_tilde
     if noise is not None:
-        y = y + noise
-    return y
+        y_tilde += noise
+    return y_tilde

@@ -5,6 +5,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 from dataclasses import dataclass, field, fields, replace
 
 
@@ -86,8 +87,11 @@ class FtnConfig:
             errs.append(f"csi={self.csi!r} not in (estimated, perfect)")
         if self.se_convention not in ("info_dims", "paper_all_n"):
             errs.append(f"se_convention={self.se_convention!r} unknown")
-        if not self.sigma_s2 > 0:
-            errs.append(f"sigma_s2={self.sigma_s2} not positive")
+        if not 0 < self.sigma_s2 < math.inf:
+            errs.append(f"sigma_s2={self.sigma_s2} not positive and finite")
+        for e in self.ebn0_grid_db:
+            if not math.isfinite(e):
+                errs.append(f"ebn0_grid_db entry {e} not finite")
         if self.n_ista < 0:
             errs.append("n_ista must be >= 0")
         if self.seed < 0:

@@ -7,11 +7,14 @@ Two DFT conventions coexist on purpose and must not be mixed up:
 * ``circulant_eigenvalues`` uses the unnormalized DFT of the first
   column, so that ``circulant(c) = F^H diag(lam) F`` with F unitary.
 
-Every other module builds on exactly these two.
+Every other module builds on exactly these two.  ``dft_rows`` is the
+unnormalized DFT as a matrix, for zero-padded transforms of a few taps,
+where one small product costs less than an FFT call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -48,7 +51,9 @@ def dft(x):
     n = x.shape[-1]
     if n < 1:
         raise ValueError("dft input must have length >= 1")
-    return np.fft.fft(x, axis=-1) / math.sqrt(n)
+    out = np.fft.fft(x, axis=-1)
+    out /= math.sqrt(n)
+    return out
 
 
 def idft(x):
@@ -58,6 +63,23 @@ def idft(x):
     if n < 1:
         raise ValueError("idft input must have length >= 1")
     return np.fft.ifft(x, axis=-1) * math.sqrt(n)
+
+
+@functools.lru_cache(maxsize=None)
+def dft_rows(m: int, n: int) -> np.ndarray:
+    """Read-only first ``m`` rows of the unnormalized ``n``-point DFT matrix.
+
+    ``v @ dft_rows(m, n)`` equals ``np.fft.fft(v, n)`` for a length-``m``
+    vector (or each row of an (..., m) array), i.e. the zero-padded DFT.
+    The phase index k*j is reduced mod n before the exponential, so every
+    entry is as accurate as exp(-2j pi r / n) with 0 <= r < n.
+    """
+    if not 1 <= m <= n:
+        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
+    r = np.outer(np.arange(m), np.arange(n)) % n
+    f = np.exp(-2j * np.pi / n * r)
+    f.flags.writeable = False
+    return f
 
 
 def circulant_eigenvalues(c):
@@ -70,8 +92,15 @@ def circulant_eigenvalues(c):
 
 
 def circulant_matvec(lam, x):
-    """Apply the circulant matrix with eigenvalues ``lam`` to ``x`` in O(N log N)."""
-    return np.fft.ifft(lam * np.fft.fft(x, axis=-1), axis=-1)
+    """Apply the circulant matrix with eigenvalues ``lam`` to ``x`` in O(N log N).
+
+    ``lam`` broadcasts against ``x`` without growing it.  The product keeps
+    the operand order ``lam * fft(x)``: numpy's complex multiply is not
+    bitwise commutative.
+    """
+    x_fd = np.fft.fft(x, axis=-1)
+    np.multiply(lam, x_fd, out=x_fd)
+    return np.fft.ifft(x_fd, axis=-1)
 
 
 def complex_gaussian(n, variance, rng, shape=None):
@@ -84,5 +113,8 @@ def complex_gaussian(n, variance, rng, shape=None):
         raise ValueError("variance must be non-negative")
     if shape is None:
         shape = (n,)
-    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return z * np.sqrt(variance / 2.0)
+    z = np.empty(shape, dtype=complex)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
+    z *= np.sqrt(variance / 2.0)
+    return z

@@ -81,6 +81,8 @@ def fde_weights(lambda_eq, lambda_g, phi_diag, sigma_s2_eff, sigma_v2_eff,
         rho = sigma_v2_eff / sigma_s2_eff
         num = np.conj(gamma)
         den = np.abs(gamma) ** 2 + rho * np.asarray(phi_diag)
+        if den.all():
+            return num / den
         # a bin with neither signal nor noise (0/0) gets weight 0
         return np.divide(num, den, out=np.zeros_like(num), where=den != 0)
     if criterion == "ls":

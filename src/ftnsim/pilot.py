@@ -38,12 +38,11 @@ def chu_pilot(P: int, Q: int, sigma_p2: float) -> np.ndarray:
     return np.tile(c, Q)
 
 
-def cyclic_mean(v, Q: int):
-    """J v: per-residue-class mean over the Q segments of length N/Q, tiled back.
+def _segment_mean(v, Q: int):
+    """(Q, N/Q) segment view of ``v`` and the per-residue-class mean over its segments.
 
     The sum and the in-place divide are the ufunc calls ``np.mean`` makes,
-    so the bits match it without its dispatch cost; ``repeat`` tiles in C,
-    where ``broadcast_to`` costs more than the mean itself.
+    so the bits match it without its dispatch cost.
     """
     v = np.asarray(v)
     n = v.shape[-1]
@@ -54,7 +53,16 @@ def cyclic_mean(v, Q: int):
     segs = v.reshape(*v.shape[:-1], Q, n // Q)
     mean = np.add.reduce(segs, axis=-2, keepdims=True)
     mean /= Q
-    return mean.repeat(Q, axis=-2).reshape(v.shape)
+    return segs, mean
+
+
+def cyclic_mean(v, Q: int):
+    """J v: per-residue-class mean over the Q segments of length N/Q, tiled back.
+
+    ``repeat`` tiles in C, where ``broadcast_to`` costs more than the mean itself.
+    """
+    segs, mean = _segment_mean(v, Q)
+    return mean.repeat(Q, axis=-2).reshape(np.shape(v))
 
 
 def apply_projector(v, Q: int):
@@ -63,8 +71,16 @@ def apply_projector(v, Q: int):
 
 
 def compose_tx(s, x_p, Q: int, sia: bool):
-    """Transmit block: (I - J) s + x_p with alignment on, s + x_p otherwise."""
+    """Transmit block: (I - J) s + x_p with alignment on, s + x_p otherwise.
+
+    ``s`` is a complex symbol block (or a stack of them); with alignment on
+    the pilot is added in place to the projected data.
+    """
     s = np.asarray(s)
-    if sia:
-        s = apply_projector(s, Q)
-    return s + np.asarray(x_p)
+    if not sia:
+        return s + np.asarray(x_p)
+    # Psi s on the segment view: the mean broadcasts over the Q segments
+    segs, mean = _segment_mean(s, Q)
+    x = (segs - mean).reshape(s.shape)
+    x += x_p
+    return x

@@ -8,8 +8,11 @@ checked against an independent construction.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from ftnsim.core import circulant_matvec, complex_gaussian, dft
 from ftnsim.pilot import apply_projector
 from ftnsim.waveform import isi_taps
 
@@ -99,6 +102,28 @@ def transmit_exact(x, h, tau: float, beta: float, nu: int, N: int,
     if noise is not None:
         y = y + noise
     return y
+
+
+def colored_noise_td(sqrt_lambda_g, sigma_v2: float, rng, trials: int | None = None):
+    """Time-domain noise eta = sqrt(sigma_v2) * B w, B = F^H diag(sqrt_lambda_g) F.
+
+    Draws the same w as ``channel.colored_noise`` from the same generator,
+    so ``dft`` of this is that function's noise spectrum.
+    """
+    n = len(sqrt_lambda_g)
+    shape = (n,) if trials is None else (trials, n)
+    w = complex_gaussian(n, 1.0, rng, shape=shape)
+    return math.sqrt(sigma_v2) * circulant_matvec(sqrt_lambda_g, w)
+
+
+def receive_td(x, lambda_h, lambda_g, eta_td):
+    """Received spectrum by the time-domain chain: dft(Theta x + eta).
+
+    Theta = F^H diag(lambda_g lambda_h) F is applied to the transmit block
+    by FFT, the time-domain noise ``eta_td`` is added, and only then is the
+    block taken to the frequency domain, as a receiver front end would.
+    """
+    return dft(circulant_matvec(lambda_g * lambda_h, x) + eta_td)
 
 
 def slice_reference(v, sigma_s2: float):

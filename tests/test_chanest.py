@@ -25,7 +25,7 @@ def received_fd(scenario, lambda_h, rng, sigma_v2=0.0, sigma_s2=1.0):
     noise = None
     if sigma_v2 > 0:
         noise = colored_noise(noise_factor(scenario.lambda_g), sigma_v2, rng)
-    return dft(transmit_fast(x, lambda_h, scenario.lambda_g, noise=noise))
+    return transmit_fast(dft(x), lambda_h, scenario.lambda_g, noise=noise)
 
 
 class TestExtractComb:
@@ -238,6 +238,6 @@ class TestInterferenceProperties:
         for L in (1, 3, 8):
             h, lambda_h = sample_channel(L, 64, make_rng(20 + L))
             x = compose_tx(np.zeros(64, complex), x_p, 8, sia=True)
-            y_fd = dft(transmit_fast(x, lambda_h, lambda_g))
+            y_fd = transmit_fast(dft(x), lambda_h, lambda_g)
             h_hat, _ = estimate_channel(y_fd, tables, L, 64, "ls")
             assert np.linalg.norm(h_hat - h) < 1e-9

@@ -3,13 +3,18 @@ import pytest
 
 from ftnsim.channel import (colored_noise, noise_factor, phi_diag, sample_channel,
                             transmit_fast)
-from ftnsim.core import complex_gaussian, make_rng
+from ftnsim.core import complex_gaussian, dft, idft, make_rng
 from ftnsim.waveform import build_isi_circulant
-from oracles import circulant_dense, transmit_exact
+from oracles import circulant_dense, colored_noise_td, receive_td, transmit_exact
 
 
 # waveform of the transmit-closure tests
 WAVE64 = dict(tau=0.8, beta=0.5, nu=10, N=64)
+
+
+def transmit_td(x, lambda_h, lambda_g, noise=None):
+    """Time-domain block idft(y~) of the spectrum transmit_fast forms from x."""
+    return idft(transmit_fast(dft(x), lambda_h, lambda_g, noise=noise))
 
 
 class TestSampleChannel:
@@ -55,28 +60,35 @@ class TestColoredNoise:
     def test_sample_covariance(self):
         col, lambda_g = build_isi_circulant(tau=0.8, beta=0.5, nu=4, N=16)
         sigma_v2 = 0.7
-        eta = colored_noise(noise_factor(lambda_g), sigma_v2, make_rng(5), trials=100_000)
+        eta = idft(colored_noise(noise_factor(lambda_g), sigma_v2, make_rng(5),
+                                 trials=100_000))
         cov = eta.conj().T @ eta / len(eta)
         g_dense = circulant_dense(col)
         assert np.abs(cov - sigma_v2 * g_dense).max() < 0.05 * sigma_v2
 
     def test_nyquist_is_white(self):
         _, lambda_g = build_isi_circulant(tau=1.0, beta=0.5, nu=4, N=16)
-        eta = colored_noise(noise_factor(lambda_g), 1.0, make_rng(6), trials=50_000)
+        eta = idft(colored_noise(noise_factor(lambda_g), 1.0, make_rng(6), trials=50_000))
         cov = eta.conj().T @ eta / len(eta)
         assert np.abs(cov - np.eye(16)).max() < 0.05
 
     def test_fd_covariance_diagonal_is_phi(self):
         # E[eta~ eta~^H] = sigma_v2 diag(lambda_g) for the circulant model
         _, lambda_g = build_isi_circulant(tau=0.8, beta=0.5, nu=4, N=16)
-        eta = colored_noise(noise_factor(lambda_g), 1.0, make_rng(7), trials=100_000)
-        eta_fd = np.fft.fft(eta, axis=1) / 4.0
+        eta_fd = colored_noise(noise_factor(lambda_g), 1.0, make_rng(7), trials=100_000)
         var = np.mean(np.abs(eta_fd) ** 2, axis=0)
         np.testing.assert_allclose(var, phi_diag(lambda_g), atol=0.06)
 
     def test_negative_variance_rejected(self, small_lambda_g):
         with pytest.raises(ValueError):
             colored_noise(noise_factor(small_lambda_g), -1.0, make_rng(0))
+
+    def test_spectrum_of_time_domain_noise(self, default_lambda_g):
+        b = noise_factor(default_lambda_g)
+        for trials in (None, 5):
+            eta_fd = colored_noise(b, 0.3, make_rng(21), trials=trials)
+            ref = dft(colored_noise_td(b, 0.3, make_rng(21), trials=trials))
+            assert np.abs(eta_fd - ref).max() / np.abs(ref).max() < 1e-13
 
 
 class TestTransmit:
@@ -91,7 +103,7 @@ class TestTransmit:
             h, lambda_h = sample_channel(L, 64, make_rng(L))
             x = complex_gaussian(64, 1.0, make_rng(100 + L))
             ye = transmit_exact(x, h, **WAVE64, guard=WAVE64["nu"] + L - 1)
-            yf = transmit_fast(x, lambda_h, lambda_g)
+            yf = transmit_td(x, lambda_h, lambda_g)
             assert np.abs(ye - yf).max() < 1e-10
 
     def test_exact_equals_fast_single_tap_default_guard(self):
@@ -99,7 +111,7 @@ class TestTransmit:
         h, lambda_h = sample_channel(1, 64, make_rng(2))
         x = complex_gaussian(64, 1.0, make_rng(3))
         assert np.abs(transmit_exact(x, h, **WAVE64)
-                      - transmit_fast(x, lambda_h, lambda_g)).max() < 1e-10
+                      - transmit_td(x, lambda_h, lambda_g)).max() < 1e-10
 
     def test_default_guard_mismatch_is_confined_to_block_edges(self):
         # with guard = nu and L > 1 the circulant claim breaks only on the
@@ -107,7 +119,7 @@ class TestTransmit:
         _, lambda_g = build_isi_circulant(**WAVE64)
         h, lambda_h = sample_channel(8, 64, make_rng(4))
         x = complex_gaussian(64, 1.0, make_rng(5))
-        diff = np.abs(transmit_exact(x, h, **WAVE64) - transmit_fast(x, lambda_h, lambda_g))
+        diff = np.abs(transmit_exact(x, h, **WAVE64) - transmit_td(x, lambda_h, lambda_g))
         assert diff[8:-8].max() < 1e-10
         assert diff.max() < 0.05
 
@@ -119,14 +131,27 @@ class TestTransmit:
         hcol[:4] = h
         theta = g @ circulant_dense(hcol)
         x = complex_gaussian(32, 1.0, make_rng(9))
-        assert np.abs(transmit_fast(x, lambda_h, lambda_g) - theta @ x).max() < 1e-10
+        assert np.abs(transmit_td(x, lambda_h, lambda_g) - theta @ x).max() < 1e-10
 
     def test_delta_channel_reduces_to_isi_only(self):
         col, lambda_g = build_isi_circulant(tau=0.8, beta=0.5, nu=4, N=32)
         x = complex_gaussian(32, 1.0, make_rng(11))
         g = circulant_dense(col)
-        y = transmit_fast(x, np.ones(32, complex), lambda_g)
+        y = transmit_td(x, np.ones(32, complex), lambda_g)
         assert np.abs(y - g @ x).max() < 1e-10
+
+    def test_matches_time_domain_receive_oracle(self, default_lambda_g):
+        # same channel, data and noise draw w through both chains
+        b = noise_factor(default_lambda_g)
+        for trials in (None, 4):
+            shape = (128,) if trials is None else (trials, 128)
+            _, lambda_h = sample_channel(8, 128, make_rng(30))
+            x = complex_gaussian(128, 1.0, make_rng(31), shape=shape)
+            y_fd = transmit_fast(dft(x), lambda_h, default_lambda_g,
+                                 noise=colored_noise(b, 0.2, make_rng(32), trials=trials))
+            ref = receive_td(x, lambda_h, default_lambda_g,
+                             colored_noise_td(b, 0.2, make_rng(32), trials=trials))
+            assert np.abs(y_fd - ref).max() / np.abs(ref).max() < 1e-13
 
     def test_gh_commutation(self):
         _, lambda_g = build_isi_circulant(tau=0.8, beta=0.5, nu=4, N=32)
@@ -141,7 +166,7 @@ class TestTransmit:
         _, lambda_h = sample_channel(4, 16, make_rng(14))
         rng = make_rng(15)
         eta = colored_noise(noise_factor(lambda_g), 1.0, rng, trials=50_000)
-        y = transmit_fast(np.zeros((50_000, 16), complex), lambda_h, lambda_g, noise=eta)
+        y = transmit_td(np.zeros((50_000, 16), complex), lambda_h, lambda_g, noise=eta)
         cov = y.conj().T @ y / len(y)
         g_dense = circulant_dense(col)
         assert np.abs(cov - g_dense).max() < 0.06

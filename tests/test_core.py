@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftnsim.core import circulant_eigenvalues, complex_gaussian, dft, idft, make_rng
+from ftnsim.core import (circulant_eigenvalues, circulant_matvec, complex_gaussian, dft,
+                         dft_rows, idft, make_rng)
 from oracles import NotPSDError, build_isi_toeplitz, circulant_dense, psd_factor
 
 
@@ -35,6 +36,31 @@ class TestDft:
             np.testing.assert_array_equal(idft(x), np.fft.ifft(x) * np.sqrt(n))
 
 
+class TestDftRows:
+    def test_product_is_zero_padded_fft(self, rng):
+        for m, n in [(1, 1), (1, 16), (3, 8), (8, 8), (8, 128), (5, 37)]:
+            v = random_complex(rng, m)
+            ref = np.fft.fft(v, n)
+            rel = np.abs(v @ dft_rows(m, n) - ref).max() / np.abs(ref).max()
+            assert rel < 1e-13
+
+    def test_batched_rows(self, rng):
+        v = rng.standard_normal((6, 4, 8)) + 1j * rng.standard_normal((6, 4, 8))
+        ref = np.fft.fft(v, 128, axis=-1)
+        assert np.abs(v @ dft_rows(8, 128) - ref).max() / np.abs(ref).max() < 1e-13
+
+    def test_cached_and_read_only(self):
+        f = dft_rows(4, 16)
+        assert f is dft_rows(4, 16) and f.shape == (4, 16)
+        with pytest.raises(ValueError):
+            f[0, 0] = 0.0
+
+    def test_bad_sizes_rejected(self):
+        for m, n in [(0, 4), (5, 4)]:
+            with pytest.raises(ValueError):
+                dft_rows(m, n)
+
+
 class TestCirculantEigenvalues:
     def test_identity(self):
         np.testing.assert_allclose(circulant_eigenvalues([1, 0, 0, 0]),
@@ -61,6 +87,16 @@ class TestCirculantEigenvalues:
             f = np.fft.fft(np.eye(n)) / np.sqrt(n)
             rec = f.conj().T @ np.diag(lam) @ f
             assert np.abs(rec - circulant_dense(c)).max() < 1e-10
+
+
+class TestCirculantMatvec:
+    def test_bits_match_eigenvalue_product_form(self, rng):
+        # the in-place product keeps the operand order lam * fft(x)
+        for shape in [(64,), (5, 64)]:
+            lam = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            np.testing.assert_array_equal(circulant_matvec(lam, x),
+                                          np.fft.ifft(lam * np.fft.fft(x, axis=-1), axis=-1))
 
 
 class TestPsdFactor:
@@ -104,6 +140,15 @@ class TestComplexGaussian:
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):
             complex_gaussian(4, -1.0, make_rng(1))
+
+    def test_bits_match_two_draw_sum(self):
+        # the real draw, then the imaginary draw, each scaled by sqrt(variance/2)
+        for shape in [None, (3, 16)]:
+            z = complex_gaussian(16, 0.7, make_rng(4), shape=shape)
+            rng = make_rng(4)
+            size = (16,) if shape is None else shape
+            ref = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) * np.sqrt(0.35)
+            np.testing.assert_array_equal(z, ref)
 
     def test_deterministic_repeat(self):
         a = complex_gaussian(32, 1.0, make_rng(7, 3))

@@ -113,6 +113,20 @@ class TestFdeWeights:
         np.testing.assert_array_equal(
             w[keep], np.conj(gamma) / (np.abs(gamma) ** 2 + 0.3 * phi[keep]))
 
+    def test_fast_path_bits_match_masked_divide(self):
+        # reference config, no zero bin: the plain divide is the masked one
+        scenario = build_scenario(FtnConfig())
+        phi = phi_diag(scenario.lambda_g)
+        for seed in range(5):
+            _, lambda_h = sample_channel(8, 128, make_rng(seed))
+            w = fde_weights(lambda_h, scenario.lambda_g, phi, 0.9375, 0.05, "mmse")
+            gamma = lambda_h * scenario.lambda_g
+            num = np.conj(gamma)
+            den = np.abs(gamma) ** 2 + 0.05 / 0.9375 * phi
+            assert den.all()
+            np.testing.assert_array_equal(
+                w, np.divide(num, den, out=np.zeros_like(num), where=den != 0))
+
     def test_ls_flags_null_bins(self):
         lam = np.array([1.0, 1.0, 0.0, 1.0])
         w = fde_weights(lam, np.ones(4), np.ones(4), 1.0, 0.0, "ls")
@@ -167,7 +181,7 @@ class TestEqualize:
         _, lambda_h = sample_channel(8, 128, rng)
         s = map_bits(rng.integers(0, 2, 256), scenario.cfg.sigma_s2)
         x = compose_tx(s, scenario.x_p, scenario.cfg.Q, scenario.cfg.sia)
-        y_fd = dft(transmit_fast(x, lambda_h, scenario.lambda_g))
+        y_fd = transmit_fast(dft(x), lambda_h, scenario.lambda_g)
         w = fde_weights(lambda_h, scenario.lambda_g,
                         phi_diag(scenario.lambda_g), 1.0, 0.0, "ls")
         u = equalize(zero_pilot_bins(y_fd, 8, 16), w)
@@ -183,10 +197,10 @@ class TestEqualize:
         rng = make_rng(4)
         _, lambda_h = sample_channel(8, 128, rng)
         s = map_bits(rng.integers(0, 2, 256), scenario.cfg.sigma_s2)
-        y = transmit_fast(s, lambda_h, scenario.lambda_g)
+        y_fd = transmit_fast(dft(s), lambda_h, scenario.lambda_g)
         w = fde_weights(lambda_h, scenario.lambda_g,
                         phi_diag(scenario.lambda_g), 1.0, 0.0, "mmse")
-        s_hat = equalize(dft(y), w)
+        s_hat = equalize(y_fd, w)
         assert np.abs(s_hat - s).max() < 1e-8
 
 

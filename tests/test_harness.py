@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 from dataclasses import replace
@@ -36,7 +37,10 @@ class TestConfig:
             replace(FtnConfig(), nu=70).validate()
         with pytest.raises(ConfigError):
             replace(FtnConfig(), seed=-1).validate()
-        for bad in (dict(L=0), dict(L=-1), dict(L=0, nu=0), dict(sigma_s2=0.0)):
+        for bad in (dict(L=0), dict(L=-1), dict(L=0, nu=0), dict(sigma_s2=0.0),
+                    dict(sigma_s2=math.inf), dict(sigma_s2=math.nan),
+                    dict(ebn0_grid_db=(0.0, math.nan)), dict(ebn0_grid_db=(math.inf,)),
+                    dict(ebn0_grid_db=(-math.inf, 4.0))):
             with pytest.raises(ConfigError):
                 replace(FtnConfig(), **bad).validate()
 
@@ -103,6 +107,23 @@ class TestRunTrial:
         b = run_trial(scenario, 0.1, 5)
         assert (a.bit_errors, a.sq_err, a.tx_power) == (b.bit_errors, b.sq_err,
                                                         b.tx_power)
+
+    def test_fft_budget(self, monkeypatch):
+        # the spectrum is formed per bin: one FFT each for the noise and the
+        # transmit block, one IFFT to equalize; the short transforms are products
+        scenario = build_scenario(FtnConfig())
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        run_trial(scenario, ebn0_to_sigma_v2(scenario.cfg, 8.0), 0)
+        assert len(calls) <= 3, calls
 
     def test_noise_free_perfect_csi_error_free(self):
         scenario = build_scenario(replace(FtnConfig(), csi="perfect"))
@@ -246,6 +267,13 @@ class TestCli:
                        "--override", "L=0")
         assert proc.returncode == 2
         assert "L=0 < 1" in proc.stderr
+
+    @pytest.mark.parametrize("override", ["sigma_s2=inf", "ebn0_grid_db=nan"])
+    def test_run_non_finite_is_config_error(self, cfg_file, tmp_path, override):
+        proc = run_cli("run", "--config", cfg_file, "--out", str(tmp_path),
+                       "--override", override)
+        assert proc.returncode == 2
+        assert "finite" in proc.stderr
 
     def test_run_writes_csv(self, cfg_file, tmp_path):
         out = tmp_path / "out"

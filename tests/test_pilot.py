@@ -133,6 +133,12 @@ class TestComposeTx:
         s = qpsk_block(make_rng(6), N)
         np.testing.assert_array_equal(compose_tx(s, np.zeros(N), Q, sia=False), s)
 
+    def test_sia_bits_equal_projected_data_plus_pilot(self, x_p):
+        for shape in (N, (3, N)):
+            s = qpsk_block(make_rng(10), shape)
+            np.testing.assert_array_equal(compose_tx(s, x_p, Q, sia=True),
+                                          apply_projector(s, Q) + x_p)
+
     def test_data_power_after_projection(self):
         rng = make_rng(7)
         total = 0.0
