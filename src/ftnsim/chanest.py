@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import phi_diag
-from .core import dft, dft_rows
+from .core import dft, dft_rows, idft_cols
 
 
 class IllConditionedCombError(RuntimeError):
@@ -114,14 +114,6 @@ def ce_mmse(y_prime, tables: CombTables, sigma_v2: float, sigma_h2: float):
     return w * np.asarray(y_prime)
 
 
-@functools.lru_cache(maxsize=None)
-def _tap_block(P: int, L: int) -> np.ndarray:
-    """Read-only P-by-L block of the P-point inverse DFT, scaled by 1/P."""
-    block = dft_rows(L, P).T.conj() / P
-    block.flags.writeable = False
-    return block
-
-
 def fd_to_td(d_hat, P: int, L: int):
     """Recover the L taps: h_hat = (1/sqrt(P)) F_{P,L}^H d_hat."""
     d_hat = np.asarray(d_hat)
@@ -130,7 +122,7 @@ def fd_to_td(d_hat, P: int, L: int):
     if P < L:
         raise ValueError(f"need P >= L, got P={P}, L={L}")
     # (1/sqrt(P)) F_{P}^H restricted to the first L rows == ifft, truncated
-    return d_hat @ _tap_block(P, L)
+    return d_hat @ idft_cols(P, L)
 
 
 def estimate_channel(y_tilde, tables: CombTables, L: int, N: int,

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .core import complex_gaussian, dft_rows
+from .core import complex_gaussian, dft_rows, fits_in_place
 
 
 def sample_channel(L: int, N: int, rng):
@@ -84,6 +84,9 @@ def transmit_fast(x_tilde, lambda_h, lambda_g, noise=None):
     if x_tilde.shape[-1] != len(lambda_g):
         raise ValueError(f"block length {x_tilde.shape[-1]} != N={len(lambda_g)}")
     y_tilde = lambda_g * lambda_h * x_tilde
-    if noise is not None:
-        y_tilde += noise
+    if noise is None:
+        return y_tilde
+    if not fits_in_place(y_tilde, noise):   # noise that broadcasts wider than x~
+        return y_tilde + noise
+    y_tilde += noise
     return y_tilde

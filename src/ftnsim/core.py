@@ -7,9 +7,10 @@ Two DFT conventions coexist on purpose and must not be mixed up:
 * ``circulant_eigenvalues`` uses the unnormalized DFT of the first
   column, so that ``circulant(c) = F^H diag(lam) F`` with F unitary.
 
-Every other module builds on exactly these two.  ``dft_rows`` is the
-unnormalized DFT as a matrix, for zero-padded transforms of a few taps,
-where one small product costs less than an FFT call.
+Every other module builds on exactly these two.  ``dft_rows`` and
+``idft_cols`` are the unnormalized DFT and its inverse as matrices, for
+zero-padded or truncated transforms of a few taps, where one small product
+costs less than an FFT call.
 """
 
 from __future__ import annotations
@@ -82,6 +83,32 @@ def dft_rows(m: int, n: int) -> np.ndarray:
     return f
 
 
+@functools.lru_cache(maxsize=None)
+def idft_cols(n: int, m: int) -> np.ndarray:
+    """Read-only first ``m`` columns of the ``n``-point inverse DFT matrix, 1/n included.
+
+    ``v @ idft_cols(n, m)`` equals ``np.fft.ifft(v)[..., :m]`` for a
+    length-``n`` vector (or each row of an (..., n) array).
+    """
+    f = dft_rows(m, n).T.conj() / n
+    f.flags.writeable = False
+    return f
+
+
+def fits_in_place(out: np.ndarray, operand) -> bool:
+    """Whether ``out`` can hold ``out <op> operand`` as the plain operator gives it.
+
+    True when the result keeps ``out``'s dtype and the operand's shape is a
+    trailing part of ``out``'s; otherwise the in-place form would downcast,
+    refuse to cast (complex into real) or refuse to grow ``out``, and the
+    caller uses the plain operator.
+    """
+    operand = np.asarray(operand)
+    k = operand.ndim
+    return (k <= out.ndim and operand.shape == out.shape[out.ndim - k:]
+            and np.result_type(out, operand) == out.dtype)
+
+
 def circulant_eigenvalues(c):
     """Eigenvalues of the circulant matrix whose first column is ``c``.
 
@@ -94,12 +121,14 @@ def circulant_eigenvalues(c):
 def circulant_matvec(lam, x):
     """Apply the circulant matrix with eigenvalues ``lam`` to ``x`` in O(N log N).
 
-    ``lam`` broadcasts against ``x`` without growing it.  The product keeps
-    the operand order ``lam * fft(x)``: numpy's complex multiply is not
-    bitwise commutative.
+    The product keeps the operand order ``lam * fft(x)``: numpy's complex
+    multiply is not bitwise commutative.
     """
     x_fd = np.fft.fft(x, axis=-1)
-    np.multiply(lam, x_fd, out=x_fd)
+    if fits_in_place(x_fd, lam):
+        x_fd = np.multiply(lam, x_fd, out=x_fd)
+    else:
+        x_fd = lam * x_fd
     return np.fft.ifft(x_fd, axis=-1)
 
 

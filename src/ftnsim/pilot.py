@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import fits_in_place
+
 
 def sia_pilot_power(sigma_s2: float, Q: int) -> float:
     """Rebalanced pilot power per symbol under alignment: (1 - 1/Q) sigma_s2."""
@@ -66,21 +68,25 @@ def cyclic_mean(v, Q: int):
 
 
 def apply_projector(v, Q: int):
-    """Psi v = v - J v in O(N); on data it zeroes the spectrum on bins k = iQ."""
-    return np.asarray(v) - cyclic_mean(v, Q)
+    """Psi v = v - J v in O(N); on data it zeroes the spectrum on bins k = iQ.
+
+    The mean broadcasts over the (Q, N/Q) segment view, so J v is never tiled.
+    """
+    segs, mean = _segment_mean(v, Q)
+    return (segs - mean).reshape(np.shape(v))
 
 
 def compose_tx(s, x_p, Q: int, sia: bool):
     """Transmit block: (I - J) s + x_p with alignment on, s + x_p otherwise.
 
-    ``s`` is a complex symbol block (or a stack of them); with alignment on
-    the pilot is added in place to the projected data.
+    With alignment on the pilot is added in place to the projected data
+    when that gives the same array as the plain sum.
     """
     s = np.asarray(s)
     if not sia:
         return s + np.asarray(x_p)
-    # Psi s on the segment view: the mean broadcasts over the Q segments
-    segs, mean = _segment_mean(s, Q)
-    x = (segs - mean).reshape(s.shape)
+    x = apply_projector(s, Q)
+    if not fits_in_place(x, x_p):   # e.g. real data and a complex pilot
+        return x + x_p
     x += x_p
     return x

@@ -153,6 +153,22 @@ class TestTransmit:
                              colored_noise_td(b, 0.2, make_rng(32), trials=trials))
             assert np.abs(y_fd - ref).max() / np.abs(ref).max() < 1e-13
 
+    def test_noise_wider_than_block_broadcasts(self, default_lambda_g):
+        # one block received under a stack of noise draws
+        _, lambda_h = sample_channel(8, 128, make_rng(33))
+        x_fd = dft(complex_gaussian(128, 1.0, make_rng(34)))
+        noise = colored_noise(noise_factor(default_lambda_g), 0.2, make_rng(35), trials=3)
+        y = transmit_fast(x_fd, lambda_h, default_lambda_g, noise=noise)
+        assert y.shape == (3, 128)
+        np.testing.assert_array_equal(
+            y, transmit_fast(x_fd, lambda_h, default_lambda_g) + noise)
+
+    def test_noise_of_other_length_rejected(self, default_lambda_g):
+        x_fd = dft(complex_gaussian(128, 1.0, make_rng(36)))
+        with pytest.raises(ValueError, match="broadcast"):
+            transmit_fast(x_fd, np.ones(128, complex), default_lambda_g,
+                          noise=np.zeros(64, complex))
+
     def test_gh_commutation(self):
         _, lambda_g = build_isi_circulant(tau=0.8, beta=0.5, nu=4, N=32)
         _, lambda_h = sample_channel(4, 32, make_rng(12))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ftnsim.core import (circulant_eigenvalues, circulant_matvec, complex_gaussian, dft,
-                         dft_rows, idft, make_rng)
+                         dft_rows, fits_in_place, idft, idft_cols, make_rng)
 from oracles import NotPSDError, build_isi_toeplitz, circulant_dense, psd_factor
 
 
@@ -61,6 +61,34 @@ class TestDftRows:
                 dft_rows(m, n)
 
 
+class TestIdftCols:
+    def test_product_is_truncated_ifft(self, rng):
+        for n, m in [(1, 1), (8, 1), (8, 8), (16, 8), (37, 5)]:
+            for shape in [(n,), (3, n)]:
+                v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                ref = np.fft.ifft(v, axis=-1)[..., :m]
+                assert np.abs(v @ idft_cols(n, m) - ref).max() / np.abs(ref).max() < 1e-13
+
+    def test_cached_and_read_only(self):
+        f = idft_cols(16, 4)
+        assert f is idft_cols(16, 4) and f.shape == (16, 4)
+        with pytest.raises(ValueError):
+            f[0, 0] = 0.0
+
+
+class TestFitsInPlace:
+    def test_same_dtype_and_trailing_shape(self):
+        out = np.zeros((3, 8), complex)
+        for operand in (np.ones((3, 8), complex), np.ones(8, complex), np.ones(8), 2.0):
+            assert fits_in_place(out, operand)
+
+    def test_upcast_or_growth_refused(self):
+        assert not fits_in_place(np.zeros(8), np.ones(8, complex))
+        assert not fits_in_place(np.zeros(8, np.complex64), np.ones(8, complex))
+        assert not fits_in_place(np.zeros(8, complex), np.ones((3, 8), complex))
+        assert not fits_in_place(np.zeros((3, 8), complex), np.ones((1, 8), complex))
+
+
 class TestCirculantEigenvalues:
     def test_identity(self):
         np.testing.assert_allclose(circulant_eigenvalues([1, 0, 0, 0]),
@@ -97,6 +125,14 @@ class TestCirculantMatvec:
             x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             np.testing.assert_array_equal(circulant_matvec(lam, x),
                                           np.fft.ifft(lam * np.fft.fft(x, axis=-1), axis=-1))
+
+    def test_eigenvalues_wider_than_x(self, rng):
+        # a stack of operators applied to one block, as the plain product allows
+        lam = rng.standard_normal((4, 64)) + 1j * rng.standard_normal((4, 64))
+        x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        y = circulant_matvec(lam, x)
+        assert y.shape == (4, 64)
+        np.testing.assert_array_equal(y, np.fft.ifft(lam * np.fft.fft(x), axis=-1))
 
 
 class TestPsdFactor:

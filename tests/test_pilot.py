@@ -126,6 +126,7 @@ class TestProjector:
             segs = v.reshape(*v.shape[:-1], Q, P)
             expected = np.broadcast_to(segs.mean(axis=-2, keepdims=True), segs.shape)
             np.testing.assert_array_equal(cyclic_mean(v, Q), expected.reshape(v.shape))
+            np.testing.assert_array_equal(apply_projector(v, Q), v - cyclic_mean(v, Q))
 
 
 class TestComposeTx:
@@ -138,6 +139,12 @@ class TestComposeTx:
             s = qpsk_block(make_rng(10), shape)
             np.testing.assert_array_equal(compose_tx(s, x_p, Q, sia=True),
                                           apply_projector(s, Q) + x_p)
+
+    def test_sia_real_data_promotes_to_complex(self, x_p):
+        s = make_rng(12).standard_normal(N)
+        x = compose_tx(s, x_p, Q, sia=True)
+        assert x.dtype == complex
+        np.testing.assert_array_equal(x, apply_projector(s, Q) + x_p)
 
     def test_data_power_after_projection(self):
         rng = make_rng(7)
