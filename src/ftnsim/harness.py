@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -282,20 +283,38 @@ def emit_results(table: SweepTable, fmt: str = "csv", path: str = "results",
 def simulate_ce_mse(cfg: FtnConfig, tau: float, sigma_v2: float, n_trials: int,
                     criteria=("ls", "mmse"), sigma_s2: float | None = None,
                     seed: int | None = None):
-    """Vectorized CE-only Monte Carlo through the full transmit chain.
+    """Vectorized CE-only Monte Carlo through the transmit chain, formed on the comb only.
 
     Runs every requested estimator on the same channel / data / noise
     realizations and returns {criterion: (mse_mean, mse_stderr)}.  Channel,
     data, and noise use independent substreams per chunk, so the noise (and
     channel) realizations are matched across different ``sigma_s2`` values.
+
+    CE reads only the P comb bins k = iQ, so only those are formed.  The
+    comb of the unitary N-point spectrum is the unitary P-point DFT of the
+    block's Q-fold segment sum, over sqrt(Q); the fold of Theta x is the
+    P-point circulant product of Theta's comb eigenvalues with the fold of
+    x; and since L <= P, lambda_h on the comb is the P-point DFT of the
+    taps.  The draws are those of the full-band chain, so the results
+    differ from it only in the last bits.
     """
+    for crit in criteria:
+        if crit not in ("ls", "mmse"):
+            raise ValueError(f"unknown CE criterion {crit!r}")
+    if n_trials < 1:
+        raise ValueError(f"need n_trials >= 1, got {n_trials}")
     if sigma_s2 is None:
         sigma_s2 = cfg.sigma_s2
+    # the comparisons are False for NaN, so it is rejected too
+    if not 0.0 <= sigma_s2 < math.inf:
+        raise ValueError(f"need 0 <= sigma_s2 < inf, got {sigma_s2}")
+    if not 0.0 <= sigma_v2 < math.inf:
+        raise ValueError(f"need 0 <= sigma_v2 < inf, got {sigma_v2}")
     if seed is None:
         seed = cfg.seed
     # pilot power follows the configured (not the swept) data power
     scenario = build_scenario(cfg, tau)
-    n, L, Q = cfg.N, cfg.L, cfg.Q
+    n, L, P, Q = cfg.N, cfg.L, cfg.P, cfg.Q
 
     sums = {c: 0.0 for c in criteria}
     sumsqs = {c: 0.0 for c in criteria}
@@ -309,26 +328,28 @@ def simulate_ce_mse(cfg: FtnConfig, tau: float, sigma_v2: float, n_trials: int,
 
         h = complex_gaussian(L, 1.0 / L, rng_h, shape=(b, L))
         h /= np.linalg.norm(h, axis=1, keepdims=True)
-        lam = h @ dft_rows(L, n)      # eigenvalues of Theta: lambda_g * lambda_h
-        lam *= scenario.lambda_g
+        lam = h @ dft_rows(L, P)      # comb eigenvalues of Theta: lambda_g * lambda_h
+        lam *= scenario.lambda_g[::Q]
 
         # a (b, N) complex block is 41 MB at b = 20k: each one is freed as soon
-        # as the chain is done with it, which cuts the peak memory by a third
+        # as the chain is done with it; past the fold, the chain is (b, P)
         idx = rng_s.integers(0, 4, size=(b, n))
         s = detector.qpsk_symbols(idx, sigma_s2)
         x = pilot.compose_tx(s, scenario.x_p, Q, cfg.sia)
         del idx, s
-        y_tilde = dft(circulant_matvec(lam, x))
-        del x, lam
-        y_tilde += colored_noise(scenario.noise_factor, sigma_v2, rng_w, trials=b)
-        comb = chanest.extract_comb(y_tilde, cfg.P, Q)
+        x_fold = np.add.reduce(x.reshape(b, Q, P), axis=1)
+        del x
+        comb = dft(circulant_matvec(lam, x_fold))
+        comb /= math.sqrt(Q)
+        comb += chanest.extract_comb(
+            colored_noise(scenario.noise_factor, sigma_v2, rng_w, trials=b), P, Q)
 
         for crit in criteria:
             if crit == "ls":
                 d_hat = chanest.ce_ls(comb, scenario.tables)
             else:
                 d_hat = chanest.ce_mmse(comb, scenario.tables, sigma_v2, 1.0 / L)
-            h_hat = chanest.fd_to_td(d_hat, cfg.P, L)
+            h_hat = chanest.fd_to_td(d_hat, P, L)
             errs = np.sum(np.abs(h - h_hat) ** 2, axis=1)
             sums[crit] += float(errs.sum())
             sumsqs[crit] += float(np.sum(errs**2))

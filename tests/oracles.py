@@ -12,7 +12,9 @@ import math
 
 import numpy as np
 
-from ftnsim.core import circulant_matvec, complex_gaussian, dft
+from ftnsim import chanest, detector, harness, pilot
+from ftnsim.channel import colored_noise
+from ftnsim.core import circulant_matvec, complex_gaussian, dft, dft_rows, make_rng
 from ftnsim.pilot import apply_projector
 from ftnsim.waveform import isi_taps
 
@@ -156,3 +158,46 @@ def ista_reference(u, Q: int, sigma_s2: float, n_iter: int):
         s_hat = slice_reference(s_hat + apply_projector(r, Q), sigma_s2)
         iterates.append(s_hat)
     return iterates
+
+
+def ce_mse_reference(cfg, tau: float, sigma_v2: float, n_trials: int,
+                     criteria=("ls", "mmse"), sigma_s2: float | None = None,
+                     seed: int | None = None):
+    """``harness.simulate_ce_mse`` through the full band: all N bins, then the comb.
+
+    Same chunks (``harness._CE_CHUNK``, read at call time), RNG keys and
+    draws as the library, but the received spectrum is formed on every bin
+    as dft(Theta x) plus the noise spectrum before the comb is taken.
+    """
+    sigma_s2 = cfg.sigma_s2 if sigma_s2 is None else sigma_s2
+    seed = cfg.seed if seed is None else seed
+    scenario = harness.build_scenario(cfg, tau)
+    n, L, P, Q = cfg.N, cfg.L, cfg.P, cfg.Q
+    errs = {c: [] for c in criteria}
+    done = chunk_idx = 0
+    while done < n_trials:
+        b = min(harness._CE_CHUNK, n_trials - done)
+        rng_h = make_rng(seed, chunk_idx, harness._SUB_CHANNEL)
+        rng_s = make_rng(seed, chunk_idx, harness._SUB_DATA)
+        rng_w = make_rng(seed, chunk_idx, harness._SUB_NOISE)
+        h = complex_gaussian(L, 1.0 / L, rng_h, shape=(b, L))
+        h /= np.linalg.norm(h, axis=1, keepdims=True)
+        s = detector.qpsk_symbols(rng_s.integers(0, 4, size=(b, n)), sigma_s2)
+        x = pilot.compose_tx(s, scenario.x_p, Q, cfg.sia)
+        y_tilde = dft(circulant_matvec((h @ dft_rows(L, n)) * scenario.lambda_g, x))
+        y_tilde += colored_noise(scenario.noise_factor, sigma_v2, rng_w, trials=b)
+        comb = chanest.extract_comb(y_tilde, P, Q)
+        for crit in criteria:
+            if crit == "ls":
+                d_hat = chanest.ce_ls(comb, scenario.tables)
+            else:
+                d_hat = chanest.ce_mmse(comb, scenario.tables, sigma_v2, 1.0 / L)
+            h_hat = chanest.fd_to_td(d_hat, P, L)
+            errs[crit].append(np.sum(np.abs(h - h_hat) ** 2, axis=1))
+        done += b
+        chunk_idx += 1
+    out = {}
+    for crit in criteria:
+        e = np.concatenate(errs[crit])
+        out[crit] = (float(e.mean()), float(e.std() / math.sqrt(n_trials)))
+    return out

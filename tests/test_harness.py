@@ -8,10 +8,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ftnsim import harness
 from ftnsim.config import (ConfigError, FtnConfig, apply_overrides, as_dict,
                            dump_config, load_config, scenario_hash)
 from ftnsim.harness import (build_scenario, ebn0_to_sigma_v2, emit_results,
-                            run_sweep, run_trial, spectral_efficiency)
+                            run_sweep, run_trial, simulate_ce_mse,
+                            spectral_efficiency)
+from oracles import ce_mse_reference
 
 FAST = dict(min_trials=20, max_trials=20, target_bit_errors=10**9,
             ebn0_grid_db=(8.0,))
@@ -152,6 +155,65 @@ class TestRunTrial:
         e_est = sum(run_trial(est, sv2, i).bit_errors for i in range(n))
         e_per = sum(run_trial(per, sv2, i).bit_errors for i in range(n))
         assert e_per <= e_est
+
+
+class TestSimulateCeMse:
+    @pytest.fixture
+    def no_draws(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("simulate_ce_mse drew before checking its arguments")
+        monkeypatch.setattr(harness, "make_rng", refuse)
+
+    @pytest.mark.parametrize("sia", [True, False])
+    @pytest.mark.parametrize("sigma_s2", [0.0, 1.0, 4.0])   # 0 is valid: criterion 3 uses it
+    def test_matches_full_band_reference(self, monkeypatch, sia, sigma_s2):
+        # 700 trials in chunks of 300, 300 and 100
+        monkeypatch.setattr(harness, "_CE_CHUNK", 300)
+        cfg = replace(FtnConfig(), sia=sia)
+        sv2 = ebn0_to_sigma_v2(cfg, 8.0)
+        got = simulate_ce_mse(cfg, 0.8, sv2, 700, sigma_s2=sigma_s2, seed=5)
+        want = ce_mse_reference(cfg, 0.8, sv2, 700, sigma_s2=sigma_s2, seed=5)
+        assert got.keys() == want.keys() == {"ls", "mmse"}
+        for crit in want:
+            np.testing.assert_allclose(got[crit], want[crit], rtol=1e-13, atol=0)
+
+    def test_one_full_length_transform_per_chunk(self, monkeypatch):
+        # only the noise spectrum is N bins wide; the rest of the chain is on
+        # the P comb bins; build_scenario's 1-d transforms are not counted
+        monkeypatch.setattr(harness, "_CE_CHUNK", 100)
+        cfg = FtnConfig()
+        widths = []
+
+        def counted(fn):
+            def wrapper(a, *args, **kwargs):
+                if np.ndim(a) == 2:
+                    widths.append(np.shape(a)[-1])
+                return fn(a, *args, **kwargs)
+            return wrapper
+
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        simulate_ce_mse(cfg, 0.8, 0.1, 250)     # 3 chunks
+        assert widths.count(cfg.N) == 3, widths
+
+    def test_unknown_criterion_rejected(self, no_draws):
+        with pytest.raises(ValueError, match="lss"):
+            simulate_ce_mse(FtnConfig(), 0.8, 0.1, 10, criteria=("lss",))
+
+    @pytest.mark.parametrize("n_trials", [0, -5])
+    def test_no_trials_rejected(self, no_draws, n_trials):
+        with pytest.raises(ValueError, match="n_trials"):
+            simulate_ce_mse(FtnConfig(), 0.8, 0.1, n_trials)
+
+    @pytest.mark.parametrize("sigma_s2", [-1.0, math.inf, math.nan])
+    def test_bad_data_power_rejected(self, no_draws, sigma_s2):
+        with pytest.raises(ValueError, match="sigma_s2"):
+            simulate_ce_mse(FtnConfig(), 0.8, 0.1, 10, sigma_s2=sigma_s2)
+
+    @pytest.mark.parametrize("sigma_v2", [-1.0, math.inf, math.nan])
+    def test_bad_noise_variance_rejected(self, no_draws, sigma_v2):
+        with pytest.raises(ValueError, match="sigma_v2"):
+            simulate_ce_mse(FtnConfig(), 0.8, sigma_v2, 10)
 
 
 class TestRunSweep:
