@@ -124,7 +124,7 @@ def ista_detect(u, Q: int, sigma_s2: float, n_iter: int = 3):
         raise ValueError("n_iter must be >= 0")
     psi_u = apply_projector(u, Q)
     # on the (Q, N/Q) segment view J s is one reduce broadcast over the
-    # segments: the same additions as cyclic_mean, without tiling the mean
+    # segments: the same additions as apply_projector's segment mean
     segs = psi_u.reshape(*psi_u.shape[:-1], Q, -1)
     s_hat = segs
     for _ in range(n_iter):

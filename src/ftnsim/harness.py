@@ -217,7 +217,8 @@ def run_sweep(cfg: FtnConfig, workers: int = 1) -> SweepTable:
     else:
         # imported here: the pool machinery adds ~10 ms to every import of ftnsim
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a fork pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
             futures = [pool.submit(run_cell, cfg, tau, ebn0, i)
                        for i, (tau, ebn0) in enumerate(cells)]
             rows = [f.result() for f in futures]
@@ -295,8 +296,12 @@ def simulate_ce_mse(cfg: FtnConfig, tau: float, sigma_v2: float, n_trials: int,
     block's Q-fold segment sum, over sqrt(Q); the fold of Theta x is the
     P-point circulant product of Theta's comb eigenvalues with the fold of
     x; and since L <= P, lambda_h on the comb is the P-point DFT of the
-    taps.  The draws are those of the full-band chain, so the results
-    differ from it only in the last bits.
+    taps.  The noise is drawn on the comb only: the unitary DFT of white
+    CN(0, I) noise is white CN(0, I), so a (b, P) draw scaled by the comb's
+    noise factor has exactly the distribution of the full-band noise
+    spectrum's comb.  The channel and data draws are those of the full-band
+    chain; the noise draws are not, so results match it in distribution
+    only.
     """
     for crit in criteria:
         if crit not in ("ls", "mmse"):
@@ -335,14 +340,15 @@ def simulate_ce_mse(cfg: FtnConfig, tau: float, sigma_v2: float, n_trials: int,
         # as the chain is done with it; past the fold, the chain is (b, P)
         idx = rng_s.integers(0, 4, size=(b, n))
         s = detector.qpsk_symbols(idx, sigma_s2)
+        del idx
         x = pilot.compose_tx(s, scenario.x_p, Q, cfg.sia)
-        del idx, s
+        del s
         x_fold = np.add.reduce(x.reshape(b, Q, P), axis=1)
         del x
         comb = dft(circulant_matvec(lam, x_fold))
         comb /= math.sqrt(Q)
-        comb += chanest.extract_comb(
-            colored_noise(scenario.noise_factor, sigma_v2, rng_w, trials=b), P, Q)
+        comb += colored_noise(chanest.extract_comb(scenario.noise_factor, P, Q),
+                              sigma_v2, rng_w, trials=b)
 
         for crit in criteria:
             if crit == "ls":

@@ -58,15 +58,6 @@ def _segment_mean(v, Q: int):
     return segs, mean
 
 
-def cyclic_mean(v, Q: int):
-    """J v: per-residue-class mean over the Q segments of length N/Q, tiled back.
-
-    ``repeat`` tiles in C, where ``broadcast_to`` costs more than the mean itself.
-    """
-    segs, mean = _segment_mean(v, Q)
-    return mean.repeat(Q, axis=-2).reshape(np.shape(v))
-
-
 def apply_projector(v, Q: int):
     """Psi v = v - J v in O(N); on data it zeroes the spectrum on bins k = iQ.
 

@@ -15,7 +15,7 @@ import numpy as np
 from ftnsim import chanest, detector, harness, pilot
 from ftnsim.channel import colored_noise
 from ftnsim.core import circulant_matvec, complex_gaussian, dft, dft_rows, make_rng
-from ftnsim.pilot import apply_projector
+from ftnsim.pilot import _segment_mean, apply_projector
 from ftnsim.waveform import isi_taps
 
 
@@ -106,6 +106,16 @@ def transmit_exact(x, h, tau: float, beta: float, nu: int, N: int,
     return y
 
 
+def cyclic_mean(v, Q: int):
+    """J v: per-residue-class mean over the Q segments of length N/Q, tiled back.
+
+    The mean is ``apply_projector``'s, so ``v - cyclic_mean(v, Q)`` is Psi v
+    bit for bit; the library never tiles J v.
+    """
+    segs, mean = _segment_mean(v, Q)
+    return mean.repeat(Q, axis=-2).reshape(np.shape(v))
+
+
 def colored_noise_td(sqrt_lambda_g, sigma_v2: float, rng, trials: int | None = None):
     """Time-domain noise eta = sqrt(sigma_v2) * B w, B = F^H diag(sqrt_lambda_g) F.
 
@@ -166,8 +176,9 @@ def ce_mse_reference(cfg, tau: float, sigma_v2: float, n_trials: int,
     """``harness.simulate_ce_mse`` through the full band: all N bins, then the comb.
 
     Same chunks (``harness._CE_CHUNK``, read at call time), RNG keys and
-    draws as the library, but the received spectrum is formed on every bin
-    as dft(Theta x) plus the noise spectrum before the comb is taken.
+    draws as the library, but the signal spectrum is formed on every bin as
+    dft(Theta x) before the comb is taken.  The noise is drawn on the comb,
+    as the library draws it.
     """
     sigma_s2 = cfg.sigma_s2 if sigma_s2 is None else sigma_s2
     seed = cfg.seed if seed is None else seed
@@ -185,8 +196,8 @@ def ce_mse_reference(cfg, tau: float, sigma_v2: float, n_trials: int,
         s = detector.qpsk_symbols(rng_s.integers(0, 4, size=(b, n)), sigma_s2)
         x = pilot.compose_tx(s, scenario.x_p, Q, cfg.sia)
         y_tilde = dft(circulant_matvec((h @ dft_rows(L, n)) * scenario.lambda_g, x))
-        y_tilde += colored_noise(scenario.noise_factor, sigma_v2, rng_w, trials=b)
-        comb = chanest.extract_comb(y_tilde, P, Q)
+        comb = y_tilde[:, ::Q] + colored_noise(scenario.noise_factor[::Q], sigma_v2,
+                                               rng_w, trials=b)
         for crit in criteria:
             if crit == "ls":
                 d_hat = chanest.ce_ls(comb, scenario.tables)

@@ -8,9 +8,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ftnsim import harness
+from ftnsim import chanest, harness
+from ftnsim.channel import colored_noise
 from ftnsim.config import (ConfigError, FtnConfig, apply_overrides, as_dict,
                            dump_config, load_config, scenario_hash)
+from ftnsim.core import make_rng
 from ftnsim.harness import (build_scenario, ebn0_to_sigma_v2, emit_results,
                             run_sweep, run_trial, simulate_ce_mse,
                             spectral_efficiency)
@@ -177,9 +179,9 @@ class TestSimulateCeMse:
         for crit in want:
             np.testing.assert_allclose(got[crit], want[crit], rtol=1e-13, atol=0)
 
-    def test_one_full_length_transform_per_chunk(self, monkeypatch):
-        # only the noise spectrum is N bins wide; the rest of the chain is on
-        # the P comb bins; build_scenario's 1-d transforms are not counted
+    def test_no_full_length_transform_per_chunk(self, monkeypatch):
+        # the whole chain, noise included, is on the P comb bins;
+        # build_scenario's 1-d transforms are not counted
         monkeypatch.setattr(harness, "_CE_CHUNK", 100)
         cfg = FtnConfig()
         widths = []
@@ -194,7 +196,36 @@ class TestSimulateCeMse:
         for name in ("fft", "ifft"):
             monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
         simulate_ce_mse(cfg, 0.8, 0.1, 250)     # 3 chunks
-        assert widths.count(cfg.N) == 3, widths
+        assert widths and widths.count(cfg.N) == 0, widths
+
+    @pytest.mark.parametrize("tau", [0.8, 0.9])
+    def test_comb_noise_covariance_matches_full_band_comb(self, tau):
+        # the comb-only draw simulate_ce_mse makes and the comb of the
+        # full-band noise spectrum both have covariance
+        # sigma_v2 * diag(noise_factor[::Q]**2); entry (i, j) of a sample
+        # covariance of n draws has standard error sqrt(var_i var_j / n)
+        cfg = FtnConfig()
+        P, Q = cfg.P, cfg.Q
+        nf = build_scenario(cfg, tau).noise_factor
+        sv2 = ebn0_to_sigma_v2(cfg, 8.0, tau)
+        var = sv2 * nf[::Q] ** 2
+        draws = {
+            "comb only": lambda rng, b: colored_noise(
+                chanest.extract_comb(nf, P, Q), sv2, rng, trials=b),
+            "full band": lambda rng, b: chanest.extract_comb(
+                colored_noise(nf, sv2, rng, trials=b), P, Q),
+        }
+        chunks, b = 5, 20_000
+        n = chunks * b
+        se = np.sqrt(np.outer(var, var) / n)
+        for name, draw in draws.items():
+            cov = np.zeros((P, P), complex)
+            for k in range(chunks):
+                z = draw(make_rng(17, k), b)
+                cov += z.T @ z.conj()
+            cov /= n
+            dev = np.abs(cov - np.diag(var)) / se
+            assert dev.max() < 5.0, (name, dev.round(2))
 
     def test_unknown_criterion_rejected(self, no_draws):
         with pytest.raises(ValueError, match="lss"):
@@ -262,6 +293,35 @@ class TestRunSweep:
             for r, (_, _, mse, power) in zip(rows, expected):
                 assert r.mse_sim == pytest.approx(mse, rel=1e-12)
                 assert r.measured_tx_power == pytest.approx(power, rel=1e-12)
+
+    def test_pool_no_larger_than_grid(self, monkeypatch):
+        # a fork pool starts all max_workers processes at the first submit,
+        # so the recorder stands in for the pool and runs the cells inline
+        import concurrent.futures
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        cfg = replace(FtnConfig(), **dict(FAST, ebn0_grid_db=(4.0, 8.0)))
+        rows = run_sweep(cfg, workers=64).rows
+        assert sizes == [2]
+        serial = run_sweep(cfg).rows
+        assert [(r.trials, r.bit_errors) for r in rows] == \
+            [(r.trials, r.bit_errors) for r in serial]
 
     def test_flagged_trials_count_the_null_comb(self):
         cfg = replace(FtnConfig(), **FAST)

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from ftnsim.config import ConfigError, FtnConfig
 from ftnsim.core import dft, make_rng
 from ftnsim.detector import ista_detect
-from ftnsim.pilot import (apply_projector, chu_pilot, compose_tx, cyclic_mean,
-                          sia_pilot_power)
-from oracles import projector_dense
+from ftnsim.pilot import apply_projector, chu_pilot, compose_tx, sia_pilot_power
+from oracles import cyclic_mean, projector_dense
 
 # projector geometry and pilot power of the default config: N = P * Q
 P, Q = 8, 16
