@@ -317,11 +317,8 @@ class TestRunSweep:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
         cfg = replace(FtnConfig(), **dict(FAST, ebn0_grid_db=(4.0, 8.0)))
-        rows = run_sweep(cfg, workers=64).rows
+        assert len(run_sweep(cfg, workers=64).rows) == 2
         assert sizes == [2]
-        serial = run_sweep(cfg).rows
-        assert [(r.trials, r.bit_errors) for r in rows] == \
-            [(r.trials, r.bit_errors) for r in serial]
 
     def test_flagged_trials_count_the_null_comb(self):
         cfg = replace(FtnConfig(), **FAST)
