@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import math
@@ -297,7 +298,6 @@ class TestRunSweep:
     def test_pool_no_larger_than_grid(self, monkeypatch):
         # a fork pool starts all max_workers processes at the first submit,
         # so the recorder stands in for the pool and runs the cells inline
-        import concurrent.futures
         sizes = []
 
         class Recorder:
