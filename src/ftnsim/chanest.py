@@ -127,12 +127,16 @@ def fd_to_td(d_hat, P: int, L: int):
 
 def estimate_channel(y_tilde, tables: CombTables, L: int, N: int,
                      criterion: str = "mmse", sigma_v2: float = 0.0,
-                     sigma_h2: float = 1.0):
+                     sigma_h2: float | None = None):
     """Full chain: comb extraction -> LS/MMSE weights -> taps -> full-band response.
 
     Returns (h_hat, lambda_eq): the L recovered taps and the FD response
     lambda_eq[k] = sum_l h_hat_l e^{-j 2 pi k l / N} that the FDE uses.
+    The MMSE tap prior ``sigma_h2`` defaults to 1/L, as in
+    ``theoretical_mse_mmse``: the per-tap power of ``sample_channel``.
     """
+    if sigma_h2 is None:
+        sigma_h2 = 1.0 / L
     y_prime = extract_comb(y_tilde, tables.P, tables.Q)
     if criterion == "ls":
         d_hat = ce_ls(y_prime, tables)

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .core import complex_gaussian, dft_rows, fits_in_place
+from .core import complex_gaussian, dft_rows
 
 
 def sample_channel(L: int, N: int, rng):
@@ -34,22 +34,15 @@ def sample_channel(L: int, N: int, rng):
     return h, h @ dft_rows(L, N)
 
 
-# eigenvalues of G below this fraction of the largest are raised to it
-_CLIP_EPS = 1e-10
-
-
-def noise_factor(lambda_g) -> np.ndarray:
-    """sqrt(lambda_g), the circulant factor B of G = B B^H, with clipped eigenvalues."""
-    lam = lambda_g.real
-    floor = _CLIP_EPS * max(float(lam.max()), 0.0)
-    return np.sqrt(np.maximum(lam, floor))
-
-
 def phi_diag(lambda_g) -> np.ndarray:
     """Diagonal of the FD colored-noise covariance, clipped to >= 0.
 
-    For the circulant model F G F^H is exactly diag(lambda_g); tiny
-    negative values only arise from kernel truncation at small tau.
+    For the circulant model F G F^H is exactly diag(lambda_g).  Negative
+    values come from truncating the kernel to +-nu taps, and they need not
+    be tiny: at beta <= 0.25 they reach -11% of the largest eigenvalue at
+    tau = 0.8 and -16.8% at tau = 0.9 (beta = 0; ROADMAP item 7).  This is
+    the only clip: the noise factor sqrt(phi_diag), the FDE weights and the
+    closed-form MSE all use it.
     """
     return np.maximum(lambda_g.real, 0.0)
 
@@ -61,13 +54,14 @@ def colored_noise(sqrt_lambda_g, sigma_v2: float, rng,
     This is the unitary DFT of eta = sqrt(sigma_v2) * B w with B B^H = G,
     B = F^H diag(sqrt_lambda_g) F, so its covariance is
     sigma_v2 * diag(sqrt_lambda_g**2) per trial.  ``sqrt_lambda_g`` is
-    ``noise_factor(lambda_g)``; optional leading trials axis.
+    ``sqrt(phi_diag(lambda_g))``, a scenario's ``noise_factor``; optional
+    leading trials axis.
     """
     if sigma_v2 < 0:
         raise ValueError("sigma_v2 must be non-negative")
     n = len(sqrt_lambda_g)
     shape = (n,) if trials is None else (trials, n)
-    w = complex_gaussian(n, 1.0, rng, shape=shape)
+    w = complex_gaussian(shape, 1.0, rng)
     eta_fd = np.fft.fft(w, axis=-1)
     eta_fd *= math.sqrt(sigma_v2 / n) * sqrt_lambda_g
     return eta_fd
@@ -86,7 +80,4 @@ def transmit_fast(x_tilde, lambda_h, lambda_g, noise=None):
     y_tilde = lambda_g * lambda_h * x_tilde
     if noise is None:
         return y_tilde
-    if not fits_in_place(y_tilde, noise):   # noise that broadcasts wider than x~
-        return y_tilde + noise
-    y_tilde += noise
-    return y_tilde
+    return y_tilde + noise

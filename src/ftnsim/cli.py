@@ -15,7 +15,8 @@ import os
 import sys
 
 from . import harness
-from .chanest import IllConditionedCombError
+from .chanest import (IllConditionedCombError, theoretical_mse_ls,
+                      theoretical_mse_mmse)
 from .config import ConfigError, dump_config, load_config
 
 EXIT_OK = 0
@@ -80,7 +81,6 @@ def cmd_mse_theory(args):
     if not os.path.isdir(directory):
         raise IOError(f"output directory does not exist: {directory}")
     lines = ["tau,ebn0_db,sigma_v2,mse_ls,mse_mmse"]
-    from .chanest import theoretical_mse_ls, theoretical_mse_mmse
     failure = None
     for tau in cfg.taus():
         scenario = harness.build_scenario(cfg, tau)

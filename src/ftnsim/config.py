@@ -60,7 +60,7 @@ class FtnConfig:
         errs = []
         if not 0.0 < self.tau <= 1.0:
             errs.append(f"tau={self.tau} outside (0, 1]")
-        for t in self.taus():
+        for t in self.tau_grid:
             if not 0.0 < t <= 1.0:
                 errs.append(f"tau_grid entry {t} outside (0, 1]")
         if not 0.0 <= self.beta <= 1.0:

@@ -95,20 +95,6 @@ def idft_cols(n: int, m: int) -> np.ndarray:
     return f
 
 
-def fits_in_place(out: np.ndarray, operand) -> bool:
-    """Whether ``out`` can hold ``out <op> operand`` as the plain operator gives it.
-
-    True when the result keeps ``out``'s dtype and the operand's shape is a
-    trailing part of ``out``'s; otherwise the in-place form would downcast,
-    refuse to cast (complex into real) or refuse to grow ``out``, and the
-    caller uses the plain operator.
-    """
-    operand = np.asarray(operand)
-    k = operand.ndim
-    return (k <= out.ndim and operand.shape == out.shape[out.ndim - k:]
-            and np.result_type(out, operand) == out.dtype)
-
-
 def circulant_eigenvalues(c):
     """Eigenvalues of the circulant matrix whose first column is ``c``.
 
@@ -124,24 +110,17 @@ def circulant_matvec(lam, x):
     The product keeps the operand order ``lam * fft(x)``: numpy's complex
     multiply is not bitwise commutative.
     """
-    x_fd = np.fft.fft(x, axis=-1)
-    if fits_in_place(x_fd, lam):
-        x_fd = np.multiply(lam, x_fd, out=x_fd)
-    else:
-        x_fd = lam * x_fd
-    return np.fft.ifft(x_fd, axis=-1)
+    return np.fft.ifft(lam * np.fft.fft(x, axis=-1), axis=-1)
 
 
-def complex_gaussian(n, variance, rng, shape=None):
-    """Circularly symmetric complex Gaussian vector, per-entry variance ``variance``.
+def complex_gaussian(shape, variance, rng):
+    """Circularly symmetric complex Gaussian array, per-entry variance ``variance``.
 
-    Real and imaginary parts each carry variance/2.  ``shape`` overrides the
-    1-d default, e.g. (trials, n) for batched draws.
+    Real and imaginary parts each carry variance/2.  ``shape`` is an int for
+    a vector, or a tuple, e.g. (trials, n) for batched draws.
     """
     if variance < 0:
         raise ValueError("variance must be non-negative")
-    if shape is None:
-        shape = (n,)
     z = np.empty(shape, dtype=complex)
     z.real = rng.standard_normal(shape)
     z.imag = rng.standard_normal(shape)

@@ -19,8 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import chanest, detector, pilot
-from .channel import (colored_noise, noise_factor, phi_diag, sample_channel,
-                      transmit_fast)
+from .channel import colored_noise, phi_diag, sample_channel, transmit_fast
 from .config import FtnConfig, as_dict, scenario_hash
 from .core import circulant_matvec, complex_gaussian, dft, dft_rows, make_rng
 from .waveform import build_isi_circulant
@@ -62,7 +61,7 @@ class Scenario:
     lambda_g: np.ndarray = field(repr=False)       # ISI eigenvalues at this tau
     x_p: np.ndarray = field(repr=False)
     tables: chanest.CombTables = field(repr=False)
-    noise_factor: np.ndarray = field(repr=False)   # clipped sqrt(lambda_g)
+    noise_factor: np.ndarray = field(repr=False)   # sqrt(phi_diag)
     phi_diag: np.ndarray = field(repr=False)
 
 
@@ -73,9 +72,10 @@ def build_scenario(cfg: FtnConfig, tau: float | None = None) -> Scenario:
     replace(cfg, tau=tau).validate()
     _, lambda_g = build_isi_circulant(tau, cfg.beta, cfg.nu, cfg.N)
     x_p = pilot.chu_pilot(cfg.P, cfg.Q, pilot.sia_pilot_power(cfg.sigma_s2, cfg.Q))
+    phi = phi_diag(lambda_g)
     return Scenario(cfg=cfg, tau=tau, lambda_g=lambda_g, x_p=x_p,
                     tables=chanest.build_comb_tables(lambda_g, x_p, cfg.Q),
-                    noise_factor=noise_factor(lambda_g), phi_diag=phi_diag(lambda_g))
+                    noise_factor=np.sqrt(phi), phi_diag=phi)
 
 
 @dataclass
@@ -331,7 +331,7 @@ def simulate_ce_mse(cfg: FtnConfig, tau: float, sigma_v2: float, n_trials: int,
         rng_s = make_rng(seed, chunk_idx, _SUB_DATA)
         rng_w = make_rng(seed, chunk_idx, _SUB_NOISE)
 
-        h = complex_gaussian(L, 1.0 / L, rng_h, shape=(b, L))
+        h = complex_gaussian((b, L), 1.0 / L, rng_h)
         h /= np.linalg.norm(h, axis=1, keepdims=True)
         lam = h @ dft_rows(L, P)      # comb eigenvalues of Theta: lambda_g * lambda_h
         lam *= scenario.lambda_g[::Q]

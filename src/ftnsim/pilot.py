@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import fits_in_place
-
 
 def sia_pilot_power(sigma_s2: float, Q: int) -> float:
     """Rebalanced pilot power per symbol under alignment: (1 - 1/Q) sigma_s2."""
@@ -70,14 +68,12 @@ def apply_projector(v, Q: int):
 def compose_tx(s, x_p, Q: int, sia: bool):
     """Transmit block: (I - J) s + x_p with alignment on, s + x_p otherwise.
 
-    With alignment on the pilot is added in place to the projected data
-    when that gives the same array as the plain sum.
+    With alignment on the pilot is added in place to the projected data, so
+    no third block is allocated; real data is promoted to the pilot's dtype.
     """
     s = np.asarray(s)
     if not sia:
         return s + np.asarray(x_p)
-    x = apply_projector(s, Q)
-    if not fits_in_place(x, x_p):   # e.g. real data and a complex pilot
-        return x + x_p
+    x = apply_projector(s, Q).astype(np.result_type(s, x_p), copy=False)
     x += x_p
     return x

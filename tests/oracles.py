@@ -124,7 +124,7 @@ def colored_noise_td(sqrt_lambda_g, sigma_v2: float, rng, trials: int | None = N
     """
     n = len(sqrt_lambda_g)
     shape = (n,) if trials is None else (trials, n)
-    w = complex_gaussian(n, 1.0, rng, shape=shape)
+    w = complex_gaussian(shape, 1.0, rng)
     return math.sqrt(sigma_v2) * circulant_matvec(sqrt_lambda_g, w)
 
 
@@ -191,7 +191,7 @@ def ce_mse_reference(cfg, tau: float, sigma_v2: float, n_trials: int,
         rng_h = make_rng(seed, chunk_idx, harness._SUB_CHANNEL)
         rng_s = make_rng(seed, chunk_idx, harness._SUB_DATA)
         rng_w = make_rng(seed, chunk_idx, harness._SUB_NOISE)
-        h = complex_gaussian(L, 1.0 / L, rng_h, shape=(b, L))
+        h = complex_gaussian((b, L), 1.0 / L, rng_h)
         h /= np.linalg.norm(h, axis=1, keepdims=True)
         s = detector.qpsk_symbols(rng_s.integers(0, 4, size=(b, n)), sigma_s2)
         x = pilot.compose_tx(s, scenario.x_p, Q, cfg.sia)

@@ -5,7 +5,7 @@ from ftnsim import chanest
 from ftnsim.chanest import (IllConditionedCombError, build_comb_tables, ce_ls,
                             ce_mmse, estimate_channel, extract_comb, fd_to_td,
                             mmse_weights, theoretical_mse_ls, theoretical_mse_mmse)
-from ftnsim.channel import colored_noise, noise_factor, sample_channel, transmit_fast
+from ftnsim.channel import colored_noise, sample_channel, transmit_fast
 from ftnsim.config import FtnConfig
 from ftnsim.core import dft, make_rng
 from ftnsim.harness import build_scenario, ebn0_to_sigma_v2, simulate_ce_mse
@@ -24,7 +24,7 @@ def received_fd(scenario, lambda_h, rng, sigma_v2=0.0, sigma_s2=1.0):
     x = compose_tx(s, scenario.x_p, scenario.cfg.Q, scenario.cfg.sia)
     noise = None
     if sigma_v2 > 0:
-        noise = colored_noise(noise_factor(scenario.lambda_g), sigma_v2, rng)
+        noise = colored_noise(scenario.noise_factor, sigma_v2, rng)
     return transmit_fast(dft(x), lambda_h, scenario.lambda_g, noise=noise)
 
 
@@ -86,6 +86,15 @@ class TestLs:
 
 
 class TestMmse:
+    def test_default_prior_is_per_tap_power(self, scenario):
+        # the MMSE prior defaults to 1/L, as in theoretical_mse_mmse
+        _, lambda_h = sample_channel(8, 128, make_rng(7))
+        y_fd = received_fd(scenario, lambda_h, make_rng(8), sigma_v2=0.5)
+        default = estimate_channel(y_fd, scenario.tables, 8, 128, "mmse", 0.5)
+        explicit = estimate_channel(y_fd, scenario.tables, 8, 128, "mmse", 0.5, 1 / 8)
+        np.testing.assert_array_equal(default[0], explicit[0])
+        np.testing.assert_array_equal(default[1], explicit[1])
+
     def test_zero_noise_coincides_with_ls(self, scenario):
         _, lambda_h = sample_channel(8, 128, make_rng(7))
         y_prime = extract_comb(received_fd(scenario, lambda_h, make_rng(8)), 8, 16)

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from ftnsim.channel import (colored_noise, noise_factor, phi_diag, sample_channel,
-                            transmit_fast)
+from ftnsim.channel import colored_noise, phi_diag, sample_channel, transmit_fast
 from ftnsim.core import complex_gaussian, dft, idft, make_rng
 from ftnsim.waveform import build_isi_circulant
 from oracles import circulant_dense, colored_noise_td, receive_td, transmit_exact
@@ -38,7 +37,7 @@ class TestSampleChannel:
         powers = np.zeros(8)
         n = 100_000
         for _ in range(n // 1000):
-            h = complex_gaussian(8, 1 / 8, rng, shape=(1000, 8))
+            h = complex_gaussian((1000, 8), 1 / 8, rng)
             h /= np.linalg.norm(h, axis=1, keepdims=True)
             powers += np.sum(np.abs(h) ** 2, axis=0)
         powers /= n
@@ -55,12 +54,12 @@ class TestSampleChannel:
 class TestColoredNoise:
     def test_zero_variance(self, small_lambda_g):
         np.testing.assert_array_equal(
-            colored_noise(noise_factor(small_lambda_g), 0.0, make_rng(1)), 0.0)
+            colored_noise(np.sqrt(phi_diag(small_lambda_g)), 0.0, make_rng(1)), 0.0)
 
     def test_sample_covariance(self):
         col, lambda_g = build_isi_circulant(tau=0.8, beta=0.5, nu=4, N=16)
         sigma_v2 = 0.7
-        eta = idft(colored_noise(noise_factor(lambda_g), sigma_v2, make_rng(5),
+        eta = idft(colored_noise(np.sqrt(phi_diag(lambda_g)), sigma_v2, make_rng(5),
                                  trials=100_000))
         cov = eta.conj().T @ eta / len(eta)
         g_dense = circulant_dense(col)
@@ -68,23 +67,23 @@ class TestColoredNoise:
 
     def test_nyquist_is_white(self):
         _, lambda_g = build_isi_circulant(tau=1.0, beta=0.5, nu=4, N=16)
-        eta = idft(colored_noise(noise_factor(lambda_g), 1.0, make_rng(6), trials=50_000))
+        eta = idft(colored_noise(np.sqrt(phi_diag(lambda_g)), 1.0, make_rng(6), trials=50_000))
         cov = eta.conj().T @ eta / len(eta)
         assert np.abs(cov - np.eye(16)).max() < 0.05
 
     def test_fd_covariance_diagonal_is_phi(self):
         # E[eta~ eta~^H] = sigma_v2 diag(lambda_g) for the circulant model
         _, lambda_g = build_isi_circulant(tau=0.8, beta=0.5, nu=4, N=16)
-        eta_fd = colored_noise(noise_factor(lambda_g), 1.0, make_rng(7), trials=100_000)
+        eta_fd = colored_noise(np.sqrt(phi_diag(lambda_g)), 1.0, make_rng(7), trials=100_000)
         var = np.mean(np.abs(eta_fd) ** 2, axis=0)
         np.testing.assert_allclose(var, phi_diag(lambda_g), atol=0.06)
 
     def test_negative_variance_rejected(self, small_lambda_g):
         with pytest.raises(ValueError):
-            colored_noise(noise_factor(small_lambda_g), -1.0, make_rng(0))
+            colored_noise(np.sqrt(phi_diag(small_lambda_g)), -1.0, make_rng(0))
 
     def test_spectrum_of_time_domain_noise(self, default_lambda_g):
-        b = noise_factor(default_lambda_g)
+        b = np.sqrt(phi_diag(default_lambda_g))
         for trials in (None, 5):
             eta_fd = colored_noise(b, 0.3, make_rng(21), trials=trials)
             ref = dft(colored_noise_td(b, 0.3, make_rng(21), trials=trials))
@@ -142,11 +141,11 @@ class TestTransmit:
 
     def test_matches_time_domain_receive_oracle(self, default_lambda_g):
         # same channel, data and noise draw w through both chains
-        b = noise_factor(default_lambda_g)
+        b = np.sqrt(phi_diag(default_lambda_g))
         for trials in (None, 4):
             shape = (128,) if trials is None else (trials, 128)
             _, lambda_h = sample_channel(8, 128, make_rng(30))
-            x = complex_gaussian(128, 1.0, make_rng(31), shape=shape)
+            x = complex_gaussian(shape, 1.0, make_rng(31))
             y_fd = transmit_fast(dft(x), lambda_h, default_lambda_g,
                                  noise=colored_noise(b, 0.2, make_rng(32), trials=trials))
             ref = receive_td(x, lambda_h, default_lambda_g,
@@ -157,7 +156,7 @@ class TestTransmit:
         # one block received under a stack of noise draws
         _, lambda_h = sample_channel(8, 128, make_rng(33))
         x_fd = dft(complex_gaussian(128, 1.0, make_rng(34)))
-        noise = colored_noise(noise_factor(default_lambda_g), 0.2, make_rng(35), trials=3)
+        noise = colored_noise(np.sqrt(phi_diag(default_lambda_g)), 0.2, make_rng(35), trials=3)
         y = transmit_fast(x_fd, lambda_h, default_lambda_g, noise=noise)
         assert y.shape == (3, 128)
         np.testing.assert_array_equal(
@@ -181,7 +180,7 @@ class TestTransmit:
         col, lambda_g = build_isi_circulant(tau=0.8, beta=0.5, nu=4, N=16)
         _, lambda_h = sample_channel(4, 16, make_rng(14))
         rng = make_rng(15)
-        eta = colored_noise(noise_factor(lambda_g), 1.0, rng, trials=50_000)
+        eta = colored_noise(np.sqrt(phi_diag(lambda_g)), 1.0, rng, trials=50_000)
         y = transmit_td(np.zeros((50_000, 16), complex), lambda_h, lambda_g, noise=eta)
         cov = y.conj().T @ y / len(y)
         g_dense = circulant_dense(col)

@@ -145,6 +145,16 @@ class TestRunTrial:
         res = run_trial(scenario, 0.1, 0)
         assert scenario.tables.bad_bins and np.isfinite(res.sq_err)
 
+    def test_noise_factor_is_sqrt_of_phi(self):
+        # one clip: the noise draws sigma_v2 * phi_diag, as the FDE and the
+        # closed forms assume, also on clipped bins and at an exact null
+        for cfg in (FtnConfig(tau=0.5), FtnConfig(tau=0.5, beta=1.0)):
+            scenario = build_scenario(cfg)
+            phi = scenario.phi_diag
+            assert np.count_nonzero(scenario.lambda_g.real <= 0.0) > 0
+            np.testing.assert_allclose(scenario.noise_factor ** 2, phi, rtol=1e-15, atol=0)
+            np.testing.assert_array_equal(scenario.noise_factor[phi == 0.0], 0.0)
+
     def test_perfect_csi_zero_mse(self):
         scenario = build_scenario(replace(FtnConfig(), csi="perfect"))
         assert run_trial(scenario, 0.1, 0).sq_err == 0.0

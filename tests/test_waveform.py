@@ -130,7 +130,7 @@ class TestKernelProperties:
         # a valid N=32 config with one waveform parameter out of range
         cfg = FtnConfig(nu=4, P=8, Q=4, N=32, L=4)
         cfg.validate()
-        with pytest.raises(ConfigError, match=r"^tau=0\.0 outside"):
+        with pytest.raises(ConfigError, match=r"^tau=0\.0 outside \(0, 1\]$"):
             replace(cfg, tau=0.0).validate()
         with pytest.raises(ConfigError, match=r"^beta=1\.5 outside"):
             replace(cfg, beta=1.5).validate()
