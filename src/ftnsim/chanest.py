@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import phi_diag
-from .core import dft, dft_rows, idft_cols
+from .core import dft, dft_rows, idft_cols, wiener_weights
 
 
 class IllConditionedCombError(RuntimeError):
@@ -91,12 +91,8 @@ def mmse_weights(tables: CombTables, sigma_v2: float, sigma_h2: float) -> np.nda
     """
     if sigma_v2 < 0 or sigma_h2 <= 0:
         raise ValueError("need sigma_v2 >= 0 and sigma_h2 > 0")
-    g = tables.gamma
     rho = sigma_v2 / (sigma_h2 * tables.P)
-    num = np.conj(g)
-    den = np.abs(g) ** 2 + rho * tables.phi_prime
-    # a comb bin in an exact spectral null (gamma = phi' = 0) gets weight 0
-    return np.divide(num, den, out=np.zeros_like(num), where=den != 0)
+    return wiener_weights(tables.gamma, rho, tables.phi_prime)
 
 
 def ce_mmse(y_prime, tables: CombTables, sigma_v2: float, sigma_h2: float):

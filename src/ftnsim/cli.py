@@ -1,6 +1,6 @@
 """Command-line entry points: ``ftnsim run``, ``ftnsim mse-theory``, ``ftnsim validate``.
 
-Exit codes: 0 success, 2 config-invariant violation, 3 I/O error,
+Exit codes: 0 success, 2 invalid or unparseable config, 3 I/O error,
 4 numerical failure: an ill-conditioned pilot comb hit by LS estimation or
 its closed-form MSE, or, for ``run``, cells on an ill-conditioned comb that
 hold more than 1% of the sweep's trials (such a cell flags all its trials).
@@ -57,12 +57,19 @@ def _load(args):
     return load_config(args.config, args.override).validate()
 
 
+def _out_path(args, name):
+    """``name`` inside ``--out``; a missing directory fails (exit 3) before any work."""
+    if not os.path.isdir(args.out):
+        raise OSError(f"output directory does not exist: {os.path.abspath(args.out)}")
+    return os.path.join(args.out, name)
+
+
 def cmd_run(args):
+    path = _out_path(args, "results")
     cfg = _load(args)
     table = harness.run_sweep(cfg, workers=args.workers)
     flagged = sum(r.flagged_trials for r in table.rows)
     total = sum(r.trials for r in table.rows)
-    path = os.path.join(args.out, "results")
     files = harness.emit_results(table, fmt=args.format, path=path,
                                  include_timing=args.timing)
     for f in files:
@@ -75,11 +82,8 @@ def cmd_run(args):
 
 
 def cmd_mse_theory(args):
+    path = _out_path(args, "mse_theory.csv")
     cfg = _load(args)
-    path = os.path.join(args.out, "mse_theory.csv")
-    directory = os.path.dirname(os.path.abspath(path))
-    if not os.path.isdir(directory):
-        raise IOError(f"output directory does not exist: {directory}")
     lines = ["tau,ebn0_db,sigma_v2,mse_ls,mse_mmse"]
     failure = None
     for tau in cfg.taus():
@@ -91,7 +95,7 @@ def cmd_mse_theory(args):
                 ls = f"{theoretical_mse_ls(scenario.tables, cfg.L, sv2):.17g}"
             except IllConditionedCombError as exc:
                 ls, failure = "", exc
-            mm = theoretical_mse_mmse(scenario.tables, cfg.L, sv2, 1.0 / cfg.L)
+            mm = theoretical_mse_mmse(scenario.tables, cfg.L, sv2)
             lines.append(f"{tau:.17g},{ebn0:.17g},{sv2:.17g},{ls},{mm:.17g}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -117,7 +121,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OSError, IOError) as exc:
+    except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
     except IllConditionedCombError as exc:

@@ -112,49 +112,46 @@ def _parse_value(name, raw, kind):
             return _BOOLS[raw.lower()]
         except KeyError:
             raise ConfigError(f"{name}: expected on/off, got {raw!r}") from None
-    if kind is tuple:
-        if not raw:
-            return ()
-        return tuple(float(v) for v in raw.replace(",", " ").split())
     try:
+        if kind is tuple:
+            return tuple(float(v) for v in raw.replace(",", " ").split())
         return kind(raw)
     except ValueError:
         raise ConfigError(f"{name}: cannot parse {raw!r} as {kind.__name__}") from None
 
 
-def _field_types():
-    defaults = FtnConfig()
-    return {f.name: type(getattr(defaults, f.name)) for f in fields(FtnConfig)}
-
-
 def load_config(path, overrides=()) -> FtnConfig:
-    """Read a key = value config file and apply ``key=value`` override strings."""
+    """Read a key = value config file; its entries, then ``overrides``, go to apply_overrides."""
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keep keys like P and Q case sensitive
     with open(path) as fh:
-        parser.read_file(fh)
-    types = _field_types()
-    values = {}
-    for section in parser.sections():
-        for key, raw in parser.items(section):
-            if key not in types:
-                raise ConfigError(f"unknown config key {key!r} in [{section}]")
-            values[key] = _parse_value(key, raw, types[key])
-    cfg = FtnConfig(**values)
-    return apply_overrides(cfg, overrides)
+        try:
+            parser.read_file(fh)
+            entries = [f"{key}={raw}" for section in parser.sections()
+                       for key, raw in parser.items(section)]
+        except configparser.Error as exc:  # no section header, duplicate key, ...
+            raise ConfigError(str(exc)) from None
+    return apply_overrides(FtnConfig(), [*entries, *overrides])
 
 
 def apply_overrides(cfg: FtnConfig, overrides) -> FtnConfig:
-    types = _field_types()
+    defaults = FtnConfig()
+    types = {f.name: type(getattr(defaults, f.name)) for f in fields(FtnConfig)}
     for ov in overrides:
         if "=" not in ov:
             raise ConfigError(f"override {ov!r} is not of the form key=value")
         key, raw = ov.split("=", 1)
         key = key.strip()
         if key not in types:
-            raise ConfigError(f"unknown override key {key!r}")
+            raise ConfigError(f"unknown config key {key!r}")
         cfg = replace(cfg, **{key: _parse_value(key, raw, types[key])})
     return cfg
+
+
+def _grid_entry(v) -> str:
+    """``v`` as ``:g`` text where that reads back exactly, else its round-trip repr."""
+    short = f"{v:g}"
+    return short if float(short) == v else repr(float(v))
 
 
 def dump_config(cfg: FtnConfig) -> str:
@@ -167,7 +164,7 @@ def dump_config(cfg: FtnConfig) -> str:
             if isinstance(val, bool):
                 val = "on" if val else "off"
             elif isinstance(val, tuple):
-                val = ", ".join(f"{v:g}" for v in val)
+                val = ", ".join(_grid_entry(v) for v in val)
             out.write(f"{key} = {val}\n")
         out.write("\n")
     return out.getvalue()

@@ -1,10 +1,10 @@
-"""Shared numerical primitives: unitary DFT, circulant algebra, Gaussian draws, RNG streams.
+"""Shared numerics: unitary DFT, circulant algebra, Wiener weights, Gaussian draws, RNG streams.
 
 Two DFT conventions coexist on purpose and must not be mixed up:
 
 * ``dft``/``idft`` use the unitary 1/sqrt(N) scaling and carry symbol
   vectors between time and frequency domain.
-* ``circulant_eigenvalues`` uses the unnormalized DFT of the first
+* Circulant eigenvalues are the unnormalized ``np.fft.fft`` of the first
   column, so that ``circulant(c) = F^H diag(lam) F`` with F unitary.
 
 Every other module builds on exactly these two.  ``dft_rows`` and
@@ -50,8 +50,6 @@ def dft(x):
     """Unitary DFT of a vector (or of each row of a 2-d array)."""
     x = np.asarray(x)
     n = x.shape[-1]
-    if n < 1:
-        raise ValueError("dft input must have length >= 1")
     out = np.fft.fft(x, axis=-1)
     out /= math.sqrt(n)
     return out
@@ -61,8 +59,6 @@ def idft(x):
     """Exact inverse of :func:`dft`."""
     x = np.asarray(x)
     n = x.shape[-1]
-    if n < 1:
-        raise ValueError("idft input must have length >= 1")
     return np.fft.ifft(x, axis=-1) * math.sqrt(n)
 
 
@@ -95,15 +91,6 @@ def idft_cols(n: int, m: int) -> np.ndarray:
     return f
 
 
-def circulant_eigenvalues(c):
-    """Eigenvalues of the circulant matrix whose first column is ``c``.
-
-    lam_k = sum_n c_n exp(-j 2 pi k n / N), i.e. the unnormalized DFT,
-    so that circulant(c) = F^H diag(lam) F with F the unitary DFT matrix.
-    """
-    return np.fft.fft(np.asarray(c), axis=-1)
-
-
 def circulant_matvec(lam, x):
     """Apply the circulant matrix with eigenvalues ``lam`` to ``x`` in O(N log N).
 
@@ -111,6 +98,17 @@ def circulant_matvec(lam, x):
     multiply is not bitwise commutative.
     """
     return np.fft.ifft(lam * np.fft.fft(x, axis=-1), axis=-1)
+
+
+def wiener_weights(gamma, rho, phi):
+    """Per-bin MMSE weights conj(gamma) / (|gamma|^2 + rho * phi).
+
+    A bin with neither signal nor noise (gamma = phi = 0, an exact spectral
+    null) gets weight 0.
+    """
+    num = np.conj(gamma)
+    den = np.abs(gamma) ** 2 + rho * np.asarray(phi)
+    return np.divide(num, den, out=np.zeros_like(num), where=den != 0)
 
 
 def complex_gaussian(shape, variance, rng):

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .core import idft
+from .core import idft, wiener_weights
 from .pilot import apply_projector
 
 
@@ -78,13 +78,7 @@ def fde_weights(lambda_eq, lambda_g, phi_diag, sigma_s2_eff, sigma_v2_eff,
     if criterion == "mmse":
         if sigma_s2_eff == 0:
             raise ValueError("MMSE weights need sigma_s2_eff > 0")
-        rho = sigma_v2_eff / sigma_s2_eff
-        num = np.conj(gamma)
-        den = np.abs(gamma) ** 2 + rho * np.asarray(phi_diag)
-        if den.all():
-            return num / den
-        # a bin with neither signal nor noise (0/0) gets weight 0
-        return np.divide(num, den, out=np.zeros_like(num), where=den != 0)
+        return wiener_weights(gamma, sigma_v2_eff / sigma_s2_eff, phi_diag)
     if criterion == "ls":
         mag = np.abs(gamma)
         floor = _LS_FLOOR * max(float(mag.max()), 1.0)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import time
 from dataclasses import dataclass, field, replace
 
@@ -109,7 +108,7 @@ def run_trial(scenario: Scenario, sigma_v2: float, trial_index: int,
     else:
         h_hat, lambda_eq = chanest.estimate_channel(
             y_tilde, scenario.tables, cfg.L, cfg.N,
-            criterion=cfg.ce_criterion, sigma_v2=sigma_v2, sigma_h2=1.0 / cfg.L)
+            criterion=cfg.ce_criterion, sigma_v2=sigma_v2)
         sq_err = float(np.add.reduce(np.abs(h - h_hat) ** 2))
 
     scale = (1.0 - 1.0 / cfg.Q) if cfg.sia else 1.0
@@ -166,7 +165,14 @@ def _theory_mse(scenario: Scenario, sigma_v2: float):
         return None
     if cfg.ce_criterion == "ls":
         return chanest.theoretical_mse_ls(scenario.tables, cfg.L, sigma_v2)
-    return chanest.theoretical_mse_mmse(scenario.tables, cfg.L, sigma_v2, 1.0 / cfg.L)
+    return chanest.theoretical_mse_mmse(scenario.tables, cfg.L, sigma_v2)
+
+
+def _mean_se(total: float, total_sq: float, n: int):
+    """Sample mean of n values and its standard error, from their sum and sum of squares."""
+    mean = total / n
+    var = max(total_sq / n - mean**2, 0.0)
+    return mean, float(np.sqrt(var / n))
 
 
 def run_cell(cfg: FtnConfig, tau: float, ebn0_db: float, cell_index: int) -> SweepRow:
@@ -194,13 +200,11 @@ def run_cell(cfg: FtnConfig, tau: float, ebn0_db: float, cell_index: int) -> Swe
     n_bits = trials * cfg.N * _BITS_PER_SYMBOL
     ber = bit_errors / n_bits
     ber_ci95 = 1.96 * np.sqrt(max(ber * (1.0 - ber), 0.0) / n_bits)
-    mse = sq_sum / trials
-    var = max(sq_sumsq / trials - mse**2, 0.0)
-    mse_ci95 = 1.96 * np.sqrt(var / trials)
+    mse, mse_se = _mean_se(sq_sum, sq_sumsq, trials)
     return SweepRow(
         scenario_hash=scenario_hash(cfg), tau=tau, ebn0_db=ebn0_db,
         snr_db=float(snr_db), trials=trials, bit_errors=bit_errors,
-        ber=ber, ber_ci95=float(ber_ci95), mse_sim=mse, mse_ci95=float(mse_ci95),
+        ber=ber, ber_ci95=float(ber_ci95), mse_sim=mse, mse_ci95=1.96 * mse_se,
         mse_theory=_theory_mse(scenario, sigma_v2),
         measured_tx_power=power_sum / trials,
         wall_s=time.perf_counter() - t0,
@@ -248,9 +252,6 @@ def emit_results(table: SweepTable, fmt: str = "csv", path: str = "results",
     if fmt not in ("csv", "json", "both"):
         raise ValueError(f"unknown format {fmt!r}")
     written = []
-    directory = os.path.dirname(os.path.abspath(path))
-    if not os.path.isdir(directory):
-        raise IOError(f"output directory does not exist: {directory}")
 
     def row_values(row):
         vals = {c: getattr(row, c) for c in CSV_COLUMNS}
@@ -362,9 +363,4 @@ def simulate_ce_mse(cfg: FtnConfig, tau: float, sigma_v2: float, n_trials: int,
         done += b
         chunk_idx += 1
 
-    out = {}
-    for crit in criteria:
-        mean = sums[crit] / n_trials
-        var = max(sumsqs[crit] / n_trials - mean**2, 0.0)
-        out[crit] = (mean, float(np.sqrt(var / n_trials)))
-    return out
+    return {crit: _mean_se(sums[crit], sumsqs[crit], n_trials) for crit in criteria}

@@ -18,24 +18,18 @@ def sia_pilot_power(sigma_s2: float, Q: int) -> float:
     return (1.0 - 1.0 / Q) * sigma_s2
 
 
-def chu_sequence(P: int) -> np.ndarray:
-    """Unit-modulus root-1 Chu sequence of length P (flat DFT magnitude)."""
+def chu_pilot(P: int, Q: int, sigma_p2: float) -> np.ndarray:
+    """Q-fold repetition of one length-P Chu sequence, scaled to per-symbol power sigma_p2.
+
+    The sequence is root-1 Chu (unit modulus, flat DFT magnitude).  With
+    alignment on, sigma_p2 follows the rebalancing rule ``sia_pilot_power``.
+    """
     n = np.arange(P)
     if P % 2 == 0:
         phase = np.pi * n**2 / P
     else:
         phase = np.pi * n * (n + 1) / P
-    return np.exp(1j * phase)
-
-
-def chu_pilot(P: int, Q: int, sigma_p2: float) -> np.ndarray:
-    """Q-fold repetition of one length-P Chu sequence, scaled to per-symbol power sigma_p2.
-
-    With alignment on, sigma_p2 follows the rebalancing rule
-    ``sia_pilot_power``.
-    """
-    c = np.sqrt(sigma_p2) * chu_sequence(P)
-    return np.tile(c, Q)
+    return np.tile(np.sqrt(sigma_p2) * np.exp(1j * phase), Q)
 
 
 def _segment_mean(v, Q: int):

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import circulant_eigenvalues
-
 
 def rc_autocorrelation(tau: float, beta: float, n: int) -> float:
     """ISI tap g(nT): raised-cosine pulse at t = n*tau*T0, normalized to g(0)=1.
@@ -45,4 +43,4 @@ def build_isi_circulant(tau: float, beta: float, nu: int, N: int):
     col = np.zeros(N)
     col[: nu + 1] = g
     col[N - nu :] = g[1:][::-1]
-    return col, circulant_eigenvalues(col)
+    return col, np.fft.fft(col)

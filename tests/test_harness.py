@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ftnsim import chanest, harness
+from ftnsim import chanest, cli, harness
 from ftnsim.channel import colored_noise
 from ftnsim.config import (ConfigError, FtnConfig, apply_overrides, as_dict,
                            dump_config, load_config, scenario_hash)
@@ -51,11 +51,12 @@ class TestConfig:
                 replace(FtnConfig(), **bad).validate()
 
     def test_file_round_trip(self, tmp_path):
-        cfg = replace(FtnConfig(), tau=0.9, seed=777, sia=False,
-                      ebn0_grid_db=(2.0, 4.0))
         path = tmp_path / "scenario.cfg"
-        path.write_text(dump_config(cfg))
-        assert load_config(path) == cfg
+        # 1.0000001 has no exact 6-digit :g form
+        for grid in [(2.0, 4.0), (0.0, 1.0000001)]:
+            cfg = replace(FtnConfig(), tau=0.9, seed=777, sia=False, ebn0_grid_db=grid)
+            path.write_text(dump_config(cfg))
+            assert load_config(path) == cfg
 
     def test_overrides(self):
         cfg = apply_overrides(FtnConfig(), ["tau=0.7", "seed=9", "sia=off"])
@@ -67,16 +68,25 @@ class TestConfig:
         with pytest.raises(ConfigError):
             apply_overrides(FtnConfig(), ["tau"])
 
-    def test_unknown_key_in_file(self, tmp_path):
+    @pytest.mark.parametrize("body", [
+        "[waveform]\nwat = 1\n",
+        "[sim]\nebn0_grid_db = 1, two\n",
+        "tau = 0.8\n",
+        "[waveform]\ntau = 0.8\ntau = 0.9\n",
+    ], ids=["unknown_key", "unparseable_grid", "no_section_header", "duplicate_key"])
+    def test_unknown_key_in_file(self, tmp_path, body):
         path = tmp_path / "bad.cfg"
-        path.write_text("[waveform]\nwat = 1\n")
+        path.write_text(body)
         with pytest.raises(ConfigError):
             load_config(path)
 
     def test_hash_tracks_content(self):
         a = scenario_hash(FtnConfig())
-        assert a == scenario_hash(FtnConfig())
+        assert a == scenario_hash(FtnConfig()) == "0abd7cfeb581"
         assert a != scenario_hash(replace(FtnConfig(), seed=1))
+        grid = replace(FtnConfig(), ebn0_grid_db=(0.0, 1.0))
+        assert scenario_hash(grid) != scenario_hash(
+            replace(grid, ebn0_grid_db=(0.0, 1.0000001)))
 
 
 class TestSpectralEfficiency:
@@ -415,6 +425,18 @@ class TestCli:
         proc = run_cli("run", "--config", cfg_file, "--out",
                        str(tmp_path / "nope"))
         assert proc.returncode == 3
+
+    @pytest.mark.parametrize("command", ["run", "mse-theory"])
+    def test_missing_out_dir_fails_before_any_work(self, cfg_file, tmp_path, monkeypatch,
+                                                   capsys, command):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before --out was checked")
+
+        monkeypatch.setattr(harness, "run_sweep", forbidden)
+        monkeypatch.setattr(harness, "build_scenario", forbidden)
+        missing = tmp_path / "missing"
+        assert cli.main([command, "--config", cfg_file, "--out", str(missing)]) == 3
+        assert f"output directory does not exist: {missing}" in capsys.readouterr().err
 
     def test_mse_theory(self, cfg_file, tmp_path):
         out = tmp_path / "out"
