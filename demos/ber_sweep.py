@@ -17,13 +17,12 @@ import sys
 from dataclasses import replace
 
 from ftnsim.config import FtnConfig
-from ftnsim.harness import build_scenario, ebn0_to_sigma_v2, run_trial
+from ftnsim.harness import build_cell, build_scenario, ebn0_to_sigma_v2, run_trial
 
 
 def ber(cfg, sigma_v2, n_trials):
-    scenario = build_scenario(cfg)
-    errors = sum(run_trial(scenario, sigma_v2, i).bit_errors
-                 for i in range(n_trials))
+    cell = build_cell(build_scenario(cfg), sigma_v2)
+    errors = sum(run_trial(cell, i).bit_errors for i in range(n_trials))
     return errors / (n_trials * cfg.N * 2)
 
 

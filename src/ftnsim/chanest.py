@@ -38,9 +38,6 @@ class CombTables:
     Q: int
     gamma: np.ndarray = field(repr=False)       # lambda_g' * pilot_fd'
     phi_prime: np.ndarray = field(repr=False)   # FD noise variance at comb bins
-    # read-only ce_mmse weights by (sigma_v2, sigma_h2), one entry per sweep cell
-    _mmse_memo: dict = field(default_factory=dict, init=False, repr=False,
-                             compare=False)
 
     @functools.cached_property
     def bad_bins(self) -> int:
@@ -95,19 +92,9 @@ def mmse_weights(tables: CombTables, sigma_v2: float, sigma_h2: float) -> np.nda
     return wiener_weights(tables.gamma, rho, tables.phi_prime)
 
 
-def ce_mmse(y_prime, tables: CombTables, sigma_v2: float, sigma_h2: float):
-    """MMSE comb estimate; coincides with LS as sigma_v2 -> 0.
-
-    The weights are computed once per (sigma_v2, sigma_h2) and kept on
-    ``tables``, so a sweep cell pays for them on its first trial only.
-    """
-    key = (sigma_v2, sigma_h2)
-    w = tables._mmse_memo.get(key)
-    if w is None:
-        w = mmse_weights(tables, sigma_v2, sigma_h2)
-        w.flags.writeable = False
-        tables._mmse_memo[key] = w
-    return w * np.asarray(y_prime)
+def ce_mmse(y_prime, weights):
+    """MMSE comb estimate with a cell's ``mmse_weights``; LS in the limit sigma_v2 -> 0."""
+    return weights * np.asarray(y_prime)
 
 
 def fd_to_td(d_hat, P: int, L: int):
@@ -121,25 +108,14 @@ def fd_to_td(d_hat, P: int, L: int):
     return d_hat @ idft_cols(P, L)
 
 
-def estimate_channel(y_tilde, tables: CombTables, L: int, N: int,
-                     criterion: str = "mmse", sigma_v2: float = 0.0,
-                     sigma_h2: float | None = None):
-    """Full chain: comb extraction -> LS/MMSE weights -> taps -> full-band response.
+def estimate_channel(y_tilde, tables: CombTables, L: int, N: int, mmse_w=None):
+    """Full chain: comb extraction -> LS (no ``mmse_w``) or MMSE weights -> taps -> full band.
 
     Returns (h_hat, lambda_eq): the L recovered taps and the FD response
     lambda_eq[k] = sum_l h_hat_l e^{-j 2 pi k l / N} that the FDE uses.
-    The MMSE tap prior ``sigma_h2`` defaults to 1/L, as in
-    ``theoretical_mse_mmse``: the per-tap power of ``sample_channel``.
     """
-    if sigma_h2 is None:
-        sigma_h2 = 1.0 / L
     y_prime = extract_comb(y_tilde, tables.P, tables.Q)
-    if criterion == "ls":
-        d_hat = ce_ls(y_prime, tables)
-    elif criterion == "mmse":
-        d_hat = ce_mmse(y_prime, tables, sigma_v2, sigma_h2)
-    else:
-        raise ValueError(f"unknown CE criterion {criterion!r}")
+    d_hat = ce_ls(y_prime, tables) if mmse_w is None else ce_mmse(y_prime, mmse_w)
     h_hat = fd_to_td(d_hat, tables.P, L)
     return h_hat, h_hat @ dft_rows(L, N)
 

@@ -58,9 +58,10 @@ def _load(args):
 
 
 def _out_path(args, name):
-    """``name`` inside ``--out``; a missing directory fails (exit 3) before any work."""
-    if not os.path.isdir(args.out):
-        raise OSError(f"output directory does not exist: {os.path.abspath(args.out)}")
+    """``name`` inside ``--out``; a path that is no directory fails (exit 3) before any work."""
+    if not os.path.isdir(out := os.path.abspath(args.out)):
+        what = "path is not a directory" if os.path.exists(out) else "directory does not exist"
+        raise OSError(f"output {what}: {out}")
     return os.path.join(args.out, name)
 
 

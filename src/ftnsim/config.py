@@ -75,8 +75,8 @@ class FtnConfig:
             errs.append(f"L={self.L} > nu={self.nu}")
         if 2 * self.nu + 1 > self.N:
             errs.append(f"2*nu+1={2 * self.nu + 1} > N={self.N}")
-        if self.sia and self.Q < 2:
-            errs.append("alignment requires Q >= 2")
+        if self.Q < 2:
+            errs.append(f"Q={self.Q} < 2 leaves the pilot power (1 - 1/Q) sigma_s2 at zero")
         if self.modulation != "qpsk":
             errs.append(f"unsupported modulation {self.modulation!r}")
         if self.ce_criterion not in ("ls", "mmse"):

@@ -45,10 +45,13 @@ def spectral_efficiency(cfg: FtnConfig, tau: float | None = None) -> float:
     return _BITS_PER_SYMBOL * dims / ((cfg.N + 2 * cfg.nu) * tau)
 
 
-def ebn0_to_sigma_v2(cfg: FtnConfig, ebn0_db: float, tau: float | None = None) -> float:
+def _snr_db(cfg: FtnConfig, ebn0_db: float, tau: float | None):
     """sigma_s2/sigma_v2 (dB) = Eb/N0 (dB) + 10 log10(SE)."""
-    snr_db = ebn0_db + 10.0 * np.log10(spectral_efficiency(cfg, tau))
-    return cfg.sigma_s2 / 10.0 ** (snr_db / 10.0)
+    return ebn0_db + 10.0 * np.log10(spectral_efficiency(cfg, tau))
+
+
+def ebn0_to_sigma_v2(cfg: FtnConfig, ebn0_db: float, tau: float | None = None) -> float:
+    return cfg.sigma_s2 / 10.0 ** (_snr_db(cfg, ebn0_db, tau) / 10.0)
 
 
 @dataclass(frozen=True)
@@ -77,6 +80,25 @@ def build_scenario(cfg: FtnConfig, tau: float | None = None) -> Scenario:
                     noise_factor=np.sqrt(phi), phi_diag=phi)
 
 
+@dataclass(frozen=True)
+class Cell:
+    """Everything per (tau, Eb/N0) sweep cell that is constant across its trials."""
+
+    scenario: Scenario
+    sigma_v2: float
+    first_stream: int                               # RNG stream of trial 0
+    mmse_w: np.ndarray | None = field(repr=False)   # CE comb weights; None for LS
+
+
+def build_cell(scenario: Scenario, sigma_v2: float, cell_index: int = 0) -> Cell:
+    """The cell at ``sigma_v2``; trial i draws from stream ``cell_index * max_trials + i``."""
+    cfg = scenario.cfg
+    # the MMSE tap prior is the per-tap power 1/L of sample_channel
+    mmse_w = (chanest.mmse_weights(scenario.tables, sigma_v2, 1.0 / cfg.L)
+              if cfg.ce_criterion == "mmse" else None)
+    return Cell(scenario, sigma_v2, cell_index * cfg.max_trials, mmse_w)
+
+
 @dataclass
 class TrialResult:
     bit_errors: int
@@ -84,11 +106,11 @@ class TrialResult:
     tx_power: float
 
 
-def run_trial(scenario: Scenario, sigma_v2: float, trial_index: int,
-              cell_index: int = 0) -> TrialResult:
+def run_trial(cell: Cell, trial_index: int) -> TrialResult:
     """One full tx -> channel -> CE -> FDE -> detection trial."""
+    scenario, sigma_v2 = cell.scenario, cell.sigma_v2
     cfg = scenario.cfg
-    stream = cell_index * cfg.max_trials + trial_index
+    stream = cell.first_stream + trial_index
     rng_ch = make_rng(cfg.seed, stream, _SUB_CHANNEL)
     rng_data = make_rng(cfg.seed, stream, _SUB_DATA)
     rng_noise = make_rng(cfg.seed, stream, _SUB_NOISE)
@@ -107,8 +129,7 @@ def run_trial(scenario: Scenario, sigma_v2: float, trial_index: int,
         sq_err = 0.0
     else:
         h_hat, lambda_eq = chanest.estimate_channel(
-            y_tilde, scenario.tables, cfg.L, cfg.N,
-            criterion=cfg.ce_criterion, sigma_v2=sigma_v2)
+            y_tilde, scenario.tables, cfg.L, cfg.N, cell.mmse_w)
         sq_err = float(np.add.reduce(np.abs(h - h_hat) ** 2))
 
     scale = (1.0 - 1.0 / cfg.Q) if cfg.sia else 1.0
@@ -143,7 +164,7 @@ class SweepRow:
     trials: int
     bit_errors: int
     ber: float
-    ber_ci95: float
+    ber_ci95: float   # from the per-trial error counts: errors cluster within a block
     mse_sim: float
     mse_ci95: float
     mse_theory: float | None
@@ -179,33 +200,34 @@ def run_cell(cfg: FtnConfig, tau: float, ebn0_db: float, cell_index: int) -> Swe
     """Run trials for one (tau, Eb/N0) cell until the stopping rule fires."""
     t0 = time.perf_counter()
     scenario = build_scenario(cfg, tau)
-    sigma_v2 = ebn0_to_sigma_v2(cfg, ebn0_db, tau)
-    snr_db = ebn0_db + 10.0 * np.log10(spectral_efficiency(cfg, tau))
+    cell = build_cell(scenario, ebn0_to_sigma_v2(cfg, ebn0_db, tau), cell_index)
 
     bit_errors = 0
+    err_sumsq = 0
     trials = 0
     sq_sum = 0.0
     sq_sumsq = 0.0
     power_sum = 0.0
     while trials < cfg.max_trials:
-        res = run_trial(scenario, sigma_v2, trials, cell_index)
+        res = run_trial(cell, trials)
         trials += 1
         bit_errors += res.bit_errors
+        err_sumsq += res.bit_errors**2
         sq_sum += res.sq_err
         sq_sumsq += res.sq_err**2
         power_sum += res.tx_power
         if trials >= cfg.min_trials and bit_errors >= cfg.target_bit_errors:
             break
 
-    n_bits = trials * cfg.N * _BITS_PER_SYMBOL
-    ber = bit_errors / n_bits
-    ber_ci95 = 1.96 * np.sqrt(max(ber * (1.0 - ber), 0.0) / n_bits)
+    bits_per_trial = cfg.N * _BITS_PER_SYMBOL
+    ber = bit_errors / (trials * bits_per_trial)
+    _, errors_se = _mean_se(bit_errors, err_sumsq, trials)
     mse, mse_se = _mean_se(sq_sum, sq_sumsq, trials)
     return SweepRow(
         scenario_hash=scenario_hash(cfg), tau=tau, ebn0_db=ebn0_db,
-        snr_db=float(snr_db), trials=trials, bit_errors=bit_errors,
-        ber=ber, ber_ci95=float(ber_ci95), mse_sim=mse, mse_ci95=1.96 * mse_se,
-        mse_theory=_theory_mse(scenario, sigma_v2),
+        snr_db=float(_snr_db(cfg, ebn0_db, tau)), trials=trials, bit_errors=bit_errors,
+        ber=ber, ber_ci95=1.96 * errors_se / bits_per_trial, mse_sim=mse,
+        mse_ci95=1.96 * mse_se, mse_theory=_theory_mse(scenario, cell.sigma_v2),
         measured_tx_power=power_sum / trials,
         wall_s=time.perf_counter() - t0,
         flagged_trials=trials if scenario.tables.bad_bins else 0,
@@ -322,6 +344,7 @@ def simulate_ce_mse(cfg: FtnConfig, tau: float, sigma_v2: float, n_trials: int,
     scenario = build_scenario(cfg, tau)
     n, L, P, Q = cfg.N, cfg.L, cfg.P, cfg.Q
 
+    mmse_w = chanest.mmse_weights(scenario.tables, sigma_v2, 1.0 / L)
     sums = {c: 0.0 for c in criteria}
     sumsqs = {c: 0.0 for c in criteria}
     done = 0
@@ -355,7 +378,7 @@ def simulate_ce_mse(cfg: FtnConfig, tau: float, sigma_v2: float, n_trials: int,
             if crit == "ls":
                 d_hat = chanest.ce_ls(comb, scenario.tables)
             else:
-                d_hat = chanest.ce_mmse(comb, scenario.tables, sigma_v2, 1.0 / L)
+                d_hat = chanest.ce_mmse(comb, mmse_w)
             h_hat = chanest.fd_to_td(d_hat, P, L)
             errs = np.sum(np.abs(h - h_hat) ** 2, axis=1)
             sums[crit] += float(errs.sum())

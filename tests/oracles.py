@@ -202,7 +202,8 @@ def ce_mse_reference(cfg, tau: float, sigma_v2: float, n_trials: int,
             if crit == "ls":
                 d_hat = chanest.ce_ls(comb, scenario.tables)
             else:
-                d_hat = chanest.ce_mmse(comb, scenario.tables, sigma_v2, 1.0 / L)
+                w = chanest.mmse_weights(scenario.tables, sigma_v2, 1.0 / L)
+                d_hat = chanest.ce_mmse(comb, w)
             h_hat = chanest.fd_to_td(d_hat, P, L)
             errs[crit].append(np.sum(np.abs(h - h_hat) ** 2, axis=1))
         done += b

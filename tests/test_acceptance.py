@@ -17,8 +17,8 @@ from ftnsim.chanest import (estimate_channel, theoretical_mse_ls,
 from ftnsim.config import FtnConfig
 from ftnsim.core import circulant_matvec, complex_gaussian, dft, idft, make_rng
 from ftnsim.detector import ista_detect, map_bits
-from ftnsim.harness import (build_scenario, ebn0_to_sigma_v2, emit_results,
-                            run_sweep, run_trial, simulate_ce_mse)
+from ftnsim.harness import (build_cell, build_scenario, ebn0_to_sigma_v2,
+                            emit_results, run_sweep, run_trial, simulate_ce_mse)
 from ftnsim.pilot import apply_projector, compose_tx
 from ftnsim.waveform import build_isi_circulant
 from oracles import circulant_dense, projector_dense, transmit_exact
@@ -118,9 +118,8 @@ def test_criterion_3_alignment_removes_data_interference(report):
 
 
 def _ber(cfg, sigma_v2, n_trials):
-    scenario = build_scenario(cfg)
-    errors = sum(run_trial(scenario, sigma_v2, i).bit_errors
-                 for i in range(n_trials))
+    cell = build_cell(build_scenario(cfg), sigma_v2)
+    errors = sum(run_trial(cell, i).bit_errors for i in range(n_trials))
     bits = n_trials * cfg.N * 2
     p = errors / bits
     return p, np.sqrt(p * (1 - p) / bits)
@@ -166,7 +165,7 @@ def test_criterion_5_exact_chain_closures(report):
     h, lambda_h = sample_channel(8, 128, make_rng(52))
     x = compose_tx(np.zeros(128, complex), scenario.x_p, scenario.cfg.Q, scenario.cfg.sia)
     y_fd = transmit_fast(dft(x), lambda_h, scenario.lambda_g)
-    h_hat, _ = estimate_channel(y_fd, scenario.tables, 8, 128, "ls")
+    h_hat, _ = estimate_channel(y_fd, scenario.tables, 8, 128)
     checks.append(("CE recovery", float(np.linalg.norm(h_hat - h)), 1e-9))
 
     rng = make_rng(53)

@@ -8,7 +8,7 @@ from ftnsim.chanest import (IllConditionedCombError, build_comb_tables, ce_ls,
 from ftnsim.channel import colored_noise, sample_channel, transmit_fast
 from ftnsim.config import FtnConfig
 from ftnsim.core import dft, make_rng
-from ftnsim.harness import build_scenario, ebn0_to_sigma_v2, simulate_ce_mse
+from ftnsim.harness import build_cell, build_scenario, ebn0_to_sigma_v2, simulate_ce_mse
 from ftnsim.pilot import chu_pilot, compose_tx, sia_pilot_power
 from ftnsim.waveform import build_isi_circulant
 
@@ -65,7 +65,7 @@ class TestLs:
     def test_full_chain_recovery(self, scenario):
         h, lambda_h = sample_channel(8, 128, make_rng(5))
         y_fd = received_fd(scenario, lambda_h, make_rng(6))
-        h_hat, _ = estimate_channel(y_fd, scenario.tables, 8, 128, "ls")
+        h_hat, _ = estimate_channel(y_fd, scenario.tables, 8, 128)
         assert np.linalg.norm(h_hat - h) < 1e-9
 
     def test_null_comb_rejected(self):
@@ -87,40 +87,30 @@ class TestLs:
 
 class TestMmse:
     def test_default_prior_is_per_tap_power(self, scenario):
-        # the MMSE prior defaults to 1/L, as in theoretical_mse_mmse
+        # a sweep cell's MMSE weights use the prior 1/L, as theoretical_mse_mmse
+        # does; an LS cell carries none and estimate_channel then runs LS
+        sv2 = ebn0_to_sigma_v2(scenario.cfg, 8.0)
+        cell = build_cell(scenario, sv2)
+        np.testing.assert_array_equal(cell.mmse_w, mmse_weights(scenario.tables, sv2, 1 / 8))
+        assert build_cell(build_scenario(FtnConfig(ce_criterion="ls")), sv2).mmse_w is None
         _, lambda_h = sample_channel(8, 128, make_rng(7))
-        y_fd = received_fd(scenario, lambda_h, make_rng(8), sigma_v2=0.5)
-        default = estimate_channel(y_fd, scenario.tables, 8, 128, "mmse", 0.5)
-        explicit = estimate_channel(y_fd, scenario.tables, 8, 128, "mmse", 0.5, 1 / 8)
-        np.testing.assert_array_equal(default[0], explicit[0])
-        np.testing.assert_array_equal(default[1], explicit[1])
+        y_fd = received_fd(scenario, lambda_h, make_rng(8), sigma_v2=sv2)
+        y_prime = extract_comb(y_fd, 8, 16)
+        h_mmse, _ = estimate_channel(y_fd, scenario.tables, 8, 128, cell.mmse_w)
+        np.testing.assert_array_equal(h_mmse, fd_to_td(cell.mmse_w * y_prime, 8, 8))
+        h_ls, _ = estimate_channel(y_fd, scenario.tables, 8, 128)
+        np.testing.assert_array_equal(h_ls, fd_to_td(ce_ls(y_prime, scenario.tables), 8, 8))
 
     def test_zero_noise_coincides_with_ls(self, scenario):
         _, lambda_h = sample_channel(8, 128, make_rng(7))
         y_prime = extract_comb(received_fd(scenario, lambda_h, make_rng(8)), 8, 16)
         ls = ce_ls(y_prime, scenario.tables)
-        mm = ce_mmse(y_prime, scenario.tables, 0.0, 1 / 8)
+        mm = ce_mmse(y_prime, mmse_weights(scenario.tables, 0.0, 1 / 8))
         assert np.abs(ls - mm).max() < 1e-10
-
-    def test_cached_weights_equal_mmse_weights(self):
-        tables = build_scenario(FtnConfig()).tables
-        rng = make_rng(11)
-        y_prime = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        for sv2 in (0.05, 0.3, 0.05, 0.3):
-            np.testing.assert_array_equal(ce_mmse(y_prime, tables, sv2, 1 / 8),
-                                          mmse_weights(tables, sv2, 1 / 8) * y_prime)
-        assert len(tables._mmse_memo) == 2
-
-    def test_cached_weights_are_read_only(self):
-        tables = build_scenario(FtnConfig()).tables
-        ce_mmse(np.ones(8, complex), tables, 0.1, 1 / 8)
-        (w,) = tables._mmse_memo.values()
-        with pytest.raises(ValueError):
-            w[0] = 0.0
 
     def test_infinite_noise_shrinks_to_zero(self, scenario):
         y_prime = np.ones(8, complex)
-        mm = ce_mmse(y_prime, scenario.tables, 1e12, 1 / 8)
+        mm = ce_mmse(y_prime, mmse_weights(scenario.tables, 1e12, 1 / 8))
         assert np.abs(mm).max() < 1e-6
 
     def test_mmse_beats_ls(self):
@@ -168,7 +158,7 @@ class TestFdToTd:
         tables = chanest.CombTables(P=8, Q=4, gamma=np.ones(8, complex),
                                     phi_prime=np.ones(8))
         y = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        h, lam = estimate_channel(y, tables, 4, 32, "ls")
+        h, lam = estimate_channel(y, tables, 4, 32)
         k = 5
         expected = np.sum(h * np.exp(-2j * np.pi * k * np.arange(4) / 32))
         assert lam[k] == pytest.approx(expected, abs=1e-12)
@@ -248,5 +238,5 @@ class TestInterferenceProperties:
             h, lambda_h = sample_channel(L, 64, make_rng(20 + L))
             x = compose_tx(np.zeros(64, complex), x_p, 8, sia=True)
             y_fd = transmit_fast(dft(x), lambda_h, lambda_g)
-            h_hat, _ = estimate_channel(y_fd, tables, L, 64, "ls")
+            h_hat, _ = estimate_channel(y_fd, tables, L, 64)
             assert np.linalg.norm(h_hat - h) < 1e-9

@@ -8,14 +8,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ftnsim import chanest, cli, harness
 from ftnsim.channel import colored_noise
 from ftnsim.config import (ConfigError, FtnConfig, apply_overrides, as_dict,
                            dump_config, load_config, scenario_hash)
 from ftnsim.core import make_rng
-from ftnsim.harness import (build_scenario, ebn0_to_sigma_v2, emit_results,
-                            run_sweep, run_trial, simulate_ce_mse,
+from ftnsim.harness import (build_cell, build_scenario, ebn0_to_sigma_v2,
+                            emit_results, run_sweep, run_trial, simulate_ce_mse,
                             spectral_efficiency)
 from oracles import ce_mse_reference
 
@@ -118,9 +120,9 @@ class TestSpectralEfficiency:
 
 class TestRunTrial:
     def test_deterministic(self):
-        scenario = build_scenario(FtnConfig())
-        a = run_trial(scenario, 0.1, 5)
-        b = run_trial(scenario, 0.1, 5)
+        cell = build_cell(build_scenario(FtnConfig()), 0.1)
+        a = run_trial(cell, 5)
+        b = run_trial(cell, 5)
         assert (a.bit_errors, a.sq_err, a.tx_power) == (b.bit_errors, b.sq_err,
                                                         b.tx_power)
 
@@ -128,6 +130,7 @@ class TestRunTrial:
         # the spectrum is formed per bin: one FFT each for the noise and the
         # transmit block, one IFFT to equalize; the short transforms are products
         scenario = build_scenario(FtnConfig())
+        cell = build_cell(scenario, ebn0_to_sigma_v2(scenario.cfg, 8.0))
         calls = []
 
         def counted(fn):
@@ -138,21 +141,21 @@ class TestRunTrial:
 
         for name in ("fft", "ifft"):
             monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
-        run_trial(scenario, ebn0_to_sigma_v2(scenario.cfg, 8.0), 0)
+        run_trial(cell, 0)
         assert len(calls) <= 3, calls
 
     def test_noise_free_perfect_csi_error_free(self):
-        scenario = build_scenario(replace(FtnConfig(), csi="perfect"))
-        errors = sum(run_trial(scenario, 0.0, i).bit_errors for i in range(20))
+        cell = build_cell(build_scenario(replace(FtnConfig(), csi="perfect")), 0.0)
+        errors = sum(run_trial(cell, i).bit_errors for i in range(20))
         assert errors == 0
 
     def test_negative_noise_variance_rejected(self):
         with pytest.raises(ValueError):
-            run_trial(build_scenario(FtnConfig()), -1.0, 0)
+            run_trial(build_cell(build_scenario(FtnConfig()), -1.0), 0)
 
     def test_null_comb_bin_gives_finite_estimate(self):
         scenario = build_scenario(replace(FtnConfig(), tau=0.5, beta=1.0))
-        res = run_trial(scenario, 0.1, 0)
+        res = run_trial(build_cell(scenario, 0.1), 0)
         assert scenario.tables.bad_bins and np.isfinite(res.sq_err)
 
     def test_noise_factor_is_sqrt_of_phi(self):
@@ -166,18 +169,53 @@ class TestRunTrial:
             np.testing.assert_array_equal(scenario.noise_factor[phi == 0.0], 0.0)
 
     def test_perfect_csi_zero_mse(self):
-        scenario = build_scenario(replace(FtnConfig(), csi="perfect"))
-        assert run_trial(scenario, 0.1, 0).sq_err == 0.0
+        cell = build_cell(build_scenario(replace(FtnConfig(), csi="perfect")), 0.1)
+        assert run_trial(cell, 0).sq_err == 0.0
 
     def test_perfect_csi_dominates_estimated(self):
         cfg = FtnConfig()
         sv2 = ebn0_to_sigma_v2(cfg, 8.0)
-        est = build_scenario(cfg)
-        per = build_scenario(replace(cfg, csi="perfect"))
+        est = build_cell(build_scenario(cfg), sv2)
+        per = build_cell(build_scenario(replace(cfg, csi="perfect")), sv2)
         n = 1000
-        e_est = sum(run_trial(est, sv2, i).bit_errors for i in range(n))
-        e_per = sum(run_trial(per, sv2, i).bit_errors for i in range(n))
+        e_est = sum(run_trial(est, i).bit_errors for i in range(n))
+        e_per = sum(run_trial(per, i).bit_errors for i in range(n))
         assert e_per <= e_est
+
+
+@st.composite
+def any_config(draw):
+    """Configs over the parameter box, valid or not; N = P Q and nu >= L always."""
+    P, Q = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    L = draw(st.integers(1, P))
+    return FtnConfig(
+        P=P, Q=Q, N=P * Q, L=L, nu=draw(st.integers(L, max(L, P * Q // 2))),
+        tau=draw(st.floats(0.2, 1.0)), beta=draw(st.floats(0.0, 1.0)),
+        sia=draw(st.booleans()), ce_criterion=draw(st.sampled_from(["ls", "mmse"])),
+        eq_criterion=draw(st.sampled_from(["ls", "mmse"])),
+        csi=draw(st.sampled_from(["estimated", "perfect"])), n_ista=draw(st.integers(0, 4)),
+        sigma_s2=draw(st.sampled_from([1e-3, 1.0, 1e3])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_config())
+def test_accepted_config_gives_finite_trials_or_documented_error(cfg):
+    # validate() rejects it, or every trial and closed form is finite, or
+    # the comb is ill-conditioned (exit 4); RuntimeWarnings fail the test
+    try:
+        cfg.validate()
+    except ConfigError:
+        return
+    scenario = build_scenario(cfg)
+    try:
+        for ebn0 in (-10.0, 0.0, 30.0, 200.0):
+            sv2 = ebn0_to_sigma_v2(cfg, ebn0)
+            res = run_trial(build_cell(scenario, sv2), 0)
+            assert np.isfinite([res.bit_errors, res.sq_err, res.tx_power]).all(), res
+            theory = harness._theory_mse(scenario, sv2)
+            assert theory is None or np.isfinite(theory)
+    except chanest.IllConditionedCombError:
+        assert scenario.tables.bad_bins
 
 
 class TestSimulateCeMse:
@@ -315,6 +353,17 @@ class TestRunSweep:
                 assert r.mse_sim == pytest.approx(mse, rel=1e-12)
                 assert r.measured_tx_power == pytest.approx(power, rel=1e-12)
 
+    def test_ber_ci95_from_per_trial_error_counts(self):
+        # errors cluster within a block, so the interval is that of the mean
+        # per-trial error count, not the binomial one of independent bits
+        cfg = replace(FtnConfig(), **dict(FAST, ebn0_grid_db=(4.0,)))
+        row = run_sweep(cfg).rows[0]
+        cell = build_cell(build_scenario(cfg), ebn0_to_sigma_v2(cfg, 4.0))
+        errors = [run_trial(cell, i).bit_errors for i in range(row.trials)]
+        assert sum(errors) == row.bit_errors
+        want = 1.96 * np.std(errors) / math.sqrt(row.trials) / (cfg.N * 2)
+        assert row.ber_ci95 == pytest.approx(want, rel=1e-9)
+
     def test_pool_no_larger_than_grid(self, monkeypatch):
         # a fork pool starts all max_workers processes at the first submit,
         # so the recorder stands in for the pool and runs the cells inline
@@ -437,6 +486,10 @@ class TestCli:
         missing = tmp_path / "missing"
         assert cli.main([command, "--config", cfg_file, "--out", str(missing)]) == 3
         assert f"output directory does not exist: {missing}" in capsys.readouterr().err
+        regular = tmp_path / "file"
+        regular.write_text("")
+        assert cli.main([command, "--config", cfg_file, "--out", str(regular)]) == 3
+        assert f"output path is not a directory: {regular}" in capsys.readouterr().err
 
     def test_mse_theory(self, cfg_file, tmp_path):
         out = tmp_path / "out"

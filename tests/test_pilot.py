@@ -1,4 +1,3 @@
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -50,11 +49,12 @@ class TestChuPilot:
         assert (mags.max() - mags.min()) / mags.mean() < 1e-10
 
     def test_q1_with_sia_rejected(self):
-        # a valid N=8 config apart from alignment with Q = 1
-        cfg = FtnConfig(P=8, Q=1, N=8, nu=3, L=3, sia=False)
-        cfg.validate()
-        with pytest.raises(ConfigError, match=r"^alignment requires Q >= 2$"):
-            replace(cfg, sia=True).validate()
+        # Q = 1 leaves the pilot power (1 - 1/Q) sigma_s2 at zero, with
+        # alignment on or off; the same N = 8 config at Q = 2 is valid
+        for sia in (True, False):
+            FtnConfig(P=4, Q=2, N=8, nu=3, L=3, sia=sia).validate()
+            with pytest.raises(ConfigError, match=r"^Q=1 < 2 leaves the pilot power"):
+                FtnConfig(P=8, Q=1, N=8, nu=3, L=3, sia=sia).validate()
 
 
 class TestSiaTransform:
