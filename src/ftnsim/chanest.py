@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import phi_diag
+from .channel import phi_diag, tap_power
 from .core import dft, dft_rows, idft_cols, wiener_weights
 
 
@@ -140,10 +140,11 @@ def theoretical_mse_mmse(tables: CombTables, L: int, sigma_v2: float,
     + sigma_v2 Phi') W^H} at the diagonal MMSE weights, with the prior
     R_d = sigma_h2 * P * I.  Exact for L = P; for L < P the white prior
     is an approximation.  A bin in an exact spectral null has weight 0 and
-    so counts at its prior error r.
+    so counts at its prior error r.  ``sigma_h2`` defaults to the per-tap
+    power ``tap_power(L)``.
     """
     if sigma_h2 is None:
-        sigma_h2 = 1.0 / L
+        sigma_h2 = tap_power(L)
     p = tables.P
     r = sigma_h2 * p
     w = mmse_weights(tables, sigma_v2, sigma_h2)

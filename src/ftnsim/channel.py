@@ -21,6 +21,11 @@ import numpy as np
 from .core import complex_gaussian, dft_rows
 
 
+def tap_power(L: int) -> float:
+    """Mean power 1/L of each of the L unit-norm taps: their draw's variance and the MMSE prior."""
+    return 1.0 / L
+
+
 def sample_channel(L: int, N: int, rng):
     """Draw i.i.d. CN(0, 1/L) taps and rescale so sum |h_l|^2 = 1 exactly.
 
@@ -29,7 +34,7 @@ def sample_channel(L: int, N: int, rng):
     The norm is written out as ``np.linalg.norm`` computes it for a complex
     vector, without its dispatch cost.
     """
-    h = complex_gaussian(L, 1.0 / L, rng)
+    h = complex_gaussian(L, tap_power(L), rng)
     h /= math.sqrt(h.real.dot(h.real) + h.imag.dot(h.imag))
     return h, h @ dft_rows(L, N)
 

@@ -62,6 +62,12 @@ def idft(x):
     return np.fft.ifft(x, axis=-1) * math.sqrt(n)
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, marked read-only: a constant shared by many calls raises on a write."""
+    a.flags.writeable = False
+    return a
+
+
 @functools.lru_cache(maxsize=None)
 def dft_rows(m: int, n: int) -> np.ndarray:
     """Read-only first ``m`` rows of the unnormalized ``n``-point DFT matrix.
@@ -74,9 +80,7 @@ def dft_rows(m: int, n: int) -> np.ndarray:
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     r = np.outer(np.arange(m), np.arange(n)) % n
-    f = np.exp(-2j * np.pi / n * r)
-    f.flags.writeable = False
-    return f
+    return read_only(np.exp(-2j * np.pi / n * r))
 
 
 @functools.lru_cache(maxsize=None)
@@ -86,9 +90,7 @@ def idft_cols(n: int, m: int) -> np.ndarray:
     ``v @ idft_cols(n, m)`` equals ``np.fft.ifft(v)[..., :m]`` for a
     length-``n`` vector (or each row of an (..., n) array).
     """
-    f = dft_rows(m, n).T.conj() / n
-    f.flags.writeable = False
-    return f
+    return read_only(dft_rows(m, n).T.conj() / n)
 
 
 def circulant_matvec(lam, x):

@@ -22,19 +22,13 @@ from .pilot import apply_projector
 _GRAY = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
 
 
-def qpsk_symbols(labels, sigma_s2: float):
-    """QPSK symbols of power sigma_s2 for 2-bit Gray labels; label 0 -> (+a, +a).
-
-    A gather from the four points is one pass over the output, where sign
-    arithmetic takes several; simulate_ce_mse maps 20k x N blocks at once.
-    """
-    return (np.sqrt(sigma_s2 / 2.0) * _GRAY)[labels]
-
-
 def map_bits(bits, sigma_s2: float):
-    """Bit vector (even length) to QPSK symbol vector of power sigma_s2."""
+    """Bit vector (even length) to QPSK symbol vector of power sigma_s2; bits 00 -> (+a, +a).
+
+    One gather from the four scaled Gray points per 2-bit label.
+    """
     pairs = np.asarray(bits).reshape(-1, 2)
-    return qpsk_symbols(2 * pairs[:, 0] + pairs[:, 1], sigma_s2)
+    return (np.sqrt(sigma_s2 / 2.0) * _GRAY)[2 * pairs[:, 0] + pairs[:, 1]]
 
 
 def demap_bits(symbols):

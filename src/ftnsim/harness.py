@@ -18,9 +18,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import chanest, detector, pilot
-from .channel import colored_noise, phi_diag, sample_channel, transmit_fast
+from .channel import colored_noise, phi_diag, sample_channel, tap_power, transmit_fast
 from .config import FtnConfig, as_dict, scenario_hash
-from .core import circulant_matvec, complex_gaussian, dft, dft_rows, make_rng
+from .core import circulant_matvec, complex_gaussian, dft, dft_rows, make_rng, read_only
 from .waveform import build_isi_circulant
 
 # substream tags within one trial
@@ -56,7 +56,7 @@ def ebn0_to_sigma_v2(cfg: FtnConfig, ebn0_db: float, tau: float | None = None) -
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything per (config, tau) that is constant across trials."""
+    """Everything per (config, tau) that is constant across trials; its arrays are read-only."""
 
     cfg: FtnConfig
     tau: float
@@ -75,14 +75,14 @@ def build_scenario(cfg: FtnConfig, tau: float | None = None) -> Scenario:
     _, lambda_g = build_isi_circulant(tau, cfg.beta, cfg.nu, cfg.N)
     x_p = pilot.chu_pilot(cfg.P, cfg.Q, pilot.sia_pilot_power(cfg.sigma_s2, cfg.Q))
     phi = phi_diag(lambda_g)
-    return Scenario(cfg=cfg, tau=tau, lambda_g=lambda_g, x_p=x_p,
+    return Scenario(cfg=cfg, tau=tau, lambda_g=read_only(lambda_g), x_p=read_only(x_p),
                     tables=chanest.build_comb_tables(lambda_g, x_p, cfg.Q),
-                    noise_factor=np.sqrt(phi), phi_diag=phi)
+                    noise_factor=read_only(np.sqrt(phi)), phi_diag=read_only(phi))
 
 
 @dataclass(frozen=True)
 class Cell:
-    """Everything per (tau, Eb/N0) sweep cell that is constant across its trials."""
+    """Everything per (tau, Eb/N0) sweep cell that is constant across its trials; read-only."""
 
     scenario: Scenario
     sigma_v2: float
@@ -93,8 +93,7 @@ class Cell:
 def build_cell(scenario: Scenario, sigma_v2: float, cell_index: int = 0) -> Cell:
     """The cell at ``sigma_v2``; trial i draws from stream ``cell_index * max_trials + i``."""
     cfg = scenario.cfg
-    # the MMSE tap prior is the per-tap power 1/L of sample_channel
-    mmse_w = (chanest.mmse_weights(scenario.tables, sigma_v2, 1.0 / cfg.L)
+    mmse_w = (read_only(chanest.mmse_weights(scenario.tables, sigma_v2, tap_power(cfg.L)))
               if cfg.ce_criterion == "mmse" else None)
     return Cell(scenario, sigma_v2, cell_index * cfg.max_trials, mmse_w)
 
@@ -304,6 +303,27 @@ def emit_results(table: SweepTable, fmt: str = "csv", path: str = "results",
     return written
 
 
+def _qpsk_fold(rng, b: int, P: int, Q: int, sigma_s2: float) -> np.ndarray:
+    """Q-fold sum_q s[q P : (q + 1) P] of b uniform QPSK blocks of length P Q, as (b, P).
+
+    Under uniform Gray labels each component's sign is a fair bit, so a
+    component of the fold is a (Q - 2 * popcount) over Q independent bits,
+    a = sqrt(sigma_s2 / 2): exactly the distribution of the full-band fold.
+    The bits come as ceil(Q / 64) uint64 words per (trial, component,
+    position): bit q mod 64 of word q // 64 of (c, p) is the sign (1 =
+    negative) of component c (0 real, 1 imaginary) of symbol q P + p.
+    """
+    words = rng.integers(0, 2**64, size=(b, 2, P, -(-Q // 64)), dtype=np.uint64)
+    if Q % 64:
+        words[..., -1] &= np.uint64((1 << Q % 64) - 1)
+    ones = np.add.reduce(np.bitwise_count(words), axis=-1)
+    a = math.sqrt(sigma_s2 / 2.0)
+    fold = np.empty((b, P), complex)
+    fold.real = a * (Q - 2.0 * ones[:, 0])
+    fold.imag = a * (Q - 2.0 * ones[:, 1])
+    return fold
+
+
 def simulate_ce_mse(cfg: FtnConfig, tau: float, sigma_v2: float, n_trials: int,
                     criteria=("ls", "mmse"), sigma_s2: float | None = None,
                     seed: int | None = None):
@@ -319,12 +339,16 @@ def simulate_ce_mse(cfg: FtnConfig, tau: float, sigma_v2: float, n_trials: int,
     block's Q-fold segment sum, over sqrt(Q); the fold of Theta x is the
     P-point circulant product of Theta's comb eigenvalues with the fold of
     x; and since L <= P, lambda_h on the comb is the P-point DFT of the
-    taps.  The noise is drawn on the comb only: the unitary DFT of white
-    CN(0, I) noise is white CN(0, I), so a (b, P) draw scaled by the comb's
-    noise factor has exactly the distribution of the full-band noise
-    spectrum's comb.  The channel and data draws are those of the full-band
-    chain; the noise draws are not, so results match it in distribution
-    only.
+    taps.  The fold of the transmit block is composed from the folds of
+    the data and the pilot, fold_Q(compose_tx(s, x_p, Q)) =
+    compose_tx(fold_Q s, fold_Q x_p, 1), because the fold of Psi s is 0;
+    with alignment on the data term is exactly 0.  The data is drawn as its
+    Q-fold (``_qpsk_fold``) and the noise on the comb only: the unitary DFT
+    of white CN(0, I) noise is white CN(0, I), so a (b, P) draw scaled by
+    the comb's noise factor has exactly the distribution of the full-band
+    noise spectrum's comb.  The channel draws are those of the full-band
+    chain; the data and noise draws are not, so results match it in
+    distribution only.
     """
     for crit in criteria:
         if crit not in ("ls", "mmse"):
@@ -342,9 +366,11 @@ def simulate_ce_mse(cfg: FtnConfig, tau: float, sigma_v2: float, n_trials: int,
         seed = cfg.seed
     # pilot power follows the configured (not the swept) data power
     scenario = build_scenario(cfg, tau)
-    n, L, P, Q = cfg.N, cfg.L, cfg.P, cfg.Q
+    L, P, Q = cfg.L, cfg.P, cfg.Q
+    x_p_fold = np.add.reduce(scenario.x_p.reshape(Q, P), axis=0)
+    noise_comb = chanest.extract_comb(scenario.noise_factor, P, Q)
 
-    mmse_w = chanest.mmse_weights(scenario.tables, sigma_v2, 1.0 / L)
+    mmse_w = chanest.mmse_weights(scenario.tables, sigma_v2, tap_power(L))
     sums = {c: 0.0 for c in criteria}
     sumsqs = {c: 0.0 for c in criteria}
     done = 0
@@ -355,24 +381,15 @@ def simulate_ce_mse(cfg: FtnConfig, tau: float, sigma_v2: float, n_trials: int,
         rng_s = make_rng(seed, chunk_idx, _SUB_DATA)
         rng_w = make_rng(seed, chunk_idx, _SUB_NOISE)
 
-        h = complex_gaussian((b, L), 1.0 / L, rng_h)
+        h = complex_gaussian((b, L), tap_power(L), rng_h)
         h /= np.linalg.norm(h, axis=1, keepdims=True)
         lam = h @ dft_rows(L, P)      # comb eigenvalues of Theta: lambda_g * lambda_h
         lam *= scenario.lambda_g[::Q]
 
-        # a (b, N) complex block is 41 MB at b = 20k: each one is freed as soon
-        # as the chain is done with it; past the fold, the chain is (b, P)
-        idx = rng_s.integers(0, 4, size=(b, n))
-        s = detector.qpsk_symbols(idx, sigma_s2)
-        del idx
-        x = pilot.compose_tx(s, scenario.x_p, Q, cfg.sia)
-        del s
-        x_fold = np.add.reduce(x.reshape(b, Q, P), axis=1)
-        del x
+        x_fold = pilot.compose_tx(_qpsk_fold(rng_s, b, P, Q, sigma_s2), x_p_fold, 1, cfg.sia)
         comb = dft(circulant_matvec(lam, x_fold))
         comb /= math.sqrt(Q)
-        comb += colored_noise(chanest.extract_comb(scenario.noise_factor, P, Q),
-                              sigma_v2, rng_w, trials=b)
+        comb += colored_noise(noise_comb, sigma_v2, rng_w, trials=b)
 
         for crit in criteria:
             if crit == "ls":

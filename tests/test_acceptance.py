@@ -105,7 +105,7 @@ def test_criterion_3_alignment_removes_data_interference(report):
                                 sigma_s2=p, seed=7)["ls"] for p in powers]
     spread = max(m for m, _ in with_sia) - min(m for m, _ in with_sia)
     ci = 1.96 * max(se for _, se in with_sia)
-    invariant = spread < ci  # matched noise seeds: spread is ~1e-16
+    invariant = spread < ci  # matched noise seeds, zero data term: spread is 0
 
     cfg_off = replace(cfg, sia=False)
     without = [simulate_ce_mse(cfg_off, 0.8, sv2, 20_000, criteria=("ls",),

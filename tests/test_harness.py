@@ -19,7 +19,7 @@ from ftnsim.core import make_rng
 from ftnsim.harness import (build_cell, build_scenario, ebn0_to_sigma_v2,
                             emit_results, run_sweep, run_trial, simulate_ce_mse,
                             spectral_efficiency)
-from oracles import ce_mse_reference
+from oracles import ce_mse_reference, qpsk_block_from_words
 
 FAST = dict(min_trials=20, max_trials=20, target_bit_errors=10**9,
             ebn0_grid_db=(8.0,))
@@ -168,6 +168,22 @@ class TestRunTrial:
             np.testing.assert_allclose(scenario.noise_factor ** 2, phi, rtol=1e-15, atol=0)
             np.testing.assert_array_equal(scenario.noise_factor[phi == 0.0], 0.0)
 
+    def test_cell_constants_are_read_only(self):
+        # a write into a constant shared by every trial of the cell raises
+        # instead of changing the later trials
+        cell = build_cell(build_scenario(FtnConfig()), 0.1)
+        before = run_trial(cell, 3)
+        scenario = cell.scenario
+        for name, arr in (("lambda_g", scenario.lambda_g), ("x_p", scenario.x_p),
+                          ("noise_factor", scenario.noise_factor),
+                          ("phi_diag", scenario.phi_diag), ("mmse_w", cell.mmse_w)):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                arr *= 2.0
+            assert not arr.flags.writeable, name
+        assert run_trial(cell, 3) == before
+
     def test_perfect_csi_zero_mse(self):
         cell = build_cell(build_scenario(replace(FtnConfig(), csi="perfect")), 0.1)
         assert run_trial(cell, 0).sq_err == 0.0
@@ -237,6 +253,41 @@ class TestSimulateCeMse:
         assert got.keys() == want.keys() == {"ls", "mmse"}
         for crit in want:
             np.testing.assert_allclose(got[crit], want[crit], rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("sia", [True, False])
+    def test_matches_full_band_reference_past_one_word(self, sia):
+        # Q = 65 takes two data words per (component, position), the second masked
+        cfg = FtnConfig(N=130, P=2, Q=65, L=2, sia=sia)
+        sv2 = ebn0_to_sigma_v2(cfg, 8.0)
+        got = simulate_ce_mse(cfg, 0.8, sv2, 300, seed=5)
+        want = ce_mse_reference(cfg, 0.8, sv2, 300, seed=5)
+        for crit in want:
+            np.testing.assert_allclose(got[crit], want[crit], rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("Q", [2, 16, 64, 65, 128])
+    def test_qpsk_fold_is_the_fold_of_the_drawn_block(self, Q):
+        P, b = 4, 50
+        fold = harness._qpsk_fold(make_rng(3, Q), b, P, Q, 3.0)
+        words = make_rng(3, Q).integers(0, 2**64, size=(b, 2, P, -(-Q // 64)),
+                                        dtype=np.uint64)
+        block = qpsk_block_from_words(words, Q, 3.0)
+        np.testing.assert_allclose(fold, block.reshape(b, Q, P).sum(axis=1),
+                                   rtol=1e-13, atol=1e-13 * Q)
+
+    @pytest.mark.parametrize("Q", [2, 16, 64, 65, 128])
+    def test_qpsk_fold_moments_and_support(self, Q):
+        # each component is a (Q - 2 Binomial(Q, 1/2)): mean 0, variance
+        # Q sigma_s2 / 2 = Q a^2, fourth moment a^4 (3 Q^2 - 2 Q)
+        sigma_s2, b, P = 3.0, 20_000, 8
+        a = math.sqrt(sigma_s2 / 2)
+        fold = harness._qpsk_fold(make_rng(11, Q), b, P, Q, sigma_s2)
+        comps = fold.view(np.float64).ravel() / a
+        levels = np.rint(comps)
+        np.testing.assert_allclose(comps, levels, rtol=0, atol=1e-12 * Q)
+        assert np.abs(levels).max() <= Q and np.all((levels + Q) % 2 == 0)
+        n = comps.size
+        assert abs(comps.mean()) < 5 * math.sqrt(Q / n)
+        assert abs(np.mean(comps**2) - Q) < 5 * math.sqrt((2 * Q**2 - 2 * Q) / n)
 
     def test_no_full_length_transform_per_chunk(self, monkeypatch):
         # the whole chain, noise included, is on the P comb bins;

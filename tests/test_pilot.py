@@ -162,6 +162,20 @@ class TestComposeTx:
         fd_p = dft(x_p)[::Q]
         assert np.abs(fd_x - fd_p).max() < 1e-12
 
+    @pytest.mark.parametrize("sia", [True, False])
+    def test_fold_commutes_with_compose(self, x_p, sia):
+        # fold_Q(compose_tx(s, x_p, Q)) = compose_tx(fold_Q s, fold_Q x_p, 1):
+        # the fold of Psi s is 0, and so is the 1-fold projector
+        def fold(v):
+            return v.reshape(*v.shape[:-1], Q, P).sum(axis=-2)
+
+        rng = make_rng(13)
+        s = rng.standard_normal((5, N)) + 1j * rng.standard_normal((5, N))
+        np.testing.assert_allclose(compose_tx(fold(s), fold(x_p), 1, sia),
+                                   fold(compose_tx(s, x_p, Q, sia)), rtol=0, atol=1e-13)
+        if sia:
+            np.testing.assert_array_equal(compose_tx(fold(s), np.zeros(P), 1, sia), 0.0)
+
     def test_total_power_budget(self, x_p):
         # pilot (1-1/Q) + projected data (1-1/Q): measured, per the
         # rebalancing rule taken literally
