@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import phi_diag, tap_power
-from .core import dft, dft_rows, idft_cols, wiener_weights
+from .core import dft, dft_rows, idft_cols, read_only, wiener_weights
 
 
 class IllConditionedCombError(RuntimeError):
@@ -32,7 +32,7 @@ _GAMMA_FLOOR = 1e-6
 
 @dataclass(frozen=True)
 class CombTables:
-    """Scenario-constant comb quantities, computed once per (beta, tau, nu, N, pilot)."""
+    """Scenario-constant comb quantities, computed once per (beta, tau, nu, N, pilot); read-only."""
 
     P: int
     Q: int
@@ -62,7 +62,7 @@ def build_comb_tables(lambda_g, x_p, Q: int) -> CombTables:
     comb = slice(0, n, Q)
     gamma = lambda_g[comb] * x_p_fd[comb]
     phi_prime = phi_diag(lambda_g)[comb]
-    return CombTables(P=n // Q, Q=Q, gamma=gamma, phi_prime=phi_prime)
+    return CombTables(P=n // Q, Q=Q, gamma=read_only(gamma), phi_prime=read_only(phi_prime))
 
 
 def extract_comb(y_tilde, P: int, Q: int):

@@ -45,7 +45,7 @@ def phi_diag(lambda_g) -> np.ndarray:
     For the circulant model F G F^H is exactly diag(lambda_g).  Negative
     values come from truncating the kernel to +-nu taps, and they need not
     be tiny: at beta <= 0.25 they reach -11% of the largest eigenvalue at
-    tau = 0.8 and -16.8% at tau = 0.9 (beta = 0; ROADMAP item 7).  This is
+    tau = 0.8 and -16.8% at tau = 0.9 (beta = 0; see the README).  This is
     the only clip: the noise factor sqrt(phi_diag), the FDE weights and the
     closed-form MSE all use it.
     """

@@ -341,9 +341,11 @@ def simulate_ce_mse(cfg: FtnConfig, tau: float, sigma_v2: float, n_trials: int,
     x; and since L <= P, lambda_h on the comb is the P-point DFT of the
     taps.  The fold of the transmit block is composed from the folds of
     the data and the pilot, fold_Q(compose_tx(s, x_p, Q)) =
-    compose_tx(fold_Q s, fold_Q x_p, 1), because the fold of Psi s is 0;
-    with alignment on the data term is exactly 0.  The data is drawn as its
-    Q-fold (``_qpsk_fold``) and the noise on the comb only: the unitary DFT
+    compose_tx(fold_Q s, fold_Q x_p, 1), because the fold of Psi s is 0.
+    With alignment on the data term is exactly 0, so no data is drawn: the
+    data substream is keyed but unused, and the results do not depend on
+    ``sigma_s2``.  With alignment off the data is drawn as its Q-fold
+    (``_qpsk_fold``).  The noise is drawn on the comb only: the unitary DFT
     of white CN(0, I) noise is white CN(0, I), so a (b, P) draw scaled by
     the comb's noise factor has exactly the distribution of the full-band
     noise spectrum's comb.  The channel draws are those of the full-band
@@ -386,7 +388,10 @@ def simulate_ce_mse(cfg: FtnConfig, tau: float, sigma_v2: float, n_trials: int,
         lam = h @ dft_rows(L, P)      # comb eigenvalues of Theta: lambda_g * lambda_h
         lam *= scenario.lambda_g[::Q]
 
-        x_fold = pilot.compose_tx(_qpsk_fold(rng_s, b, P, Q, sigma_s2), x_p_fold, 1, cfg.sia)
+        # aligned, the data's fold is annihilated, so none is drawn; the
+        # (b, P) broadcast keeps the FFTs on their 2-d path, bit for bit
+        s_fold = np.zeros(P) if cfg.sia else _qpsk_fold(rng_s, b, P, Q, sigma_s2)
+        x_fold = np.broadcast_to(pilot.compose_tx(s_fold, x_p_fold, 1, cfg.sia), (b, P))
         comb = dft(circulant_matvec(lam, x_fold))
         comb /= math.sqrt(Q)
         comb += colored_noise(noise_comb, sigma_v2, rng_w, trials=b)

@@ -184,6 +184,13 @@ class TestRunTrial:
             assert not arr.flags.writeable, name
         assert run_trial(cell, 3) == before
 
+    def test_comb_tables_are_read_only(self):
+        tables = build_scenario(FtnConfig()).tables
+        for name, arr in (("gamma", tables.gamma), ("phi_prime", tables.phi_prime)):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+            assert not arr.flags.writeable, name
+
     def test_perfect_csi_zero_mse(self):
         cell = build_cell(build_scenario(replace(FtnConfig(), csi="perfect")), 0.1)
         assert run_trial(cell, 0).sq_err == 0.0
@@ -263,6 +270,30 @@ class TestSimulateCeMse:
         want = ce_mse_reference(cfg, 0.8, sv2, 300, seed=5)
         for crit in want:
             np.testing.assert_allclose(got[crit], want[crit], rtol=1e-13, atol=0)
+
+    def test_aligned_chunk_draws_no_data(self, monkeypatch):
+        # 250 trials in chunks of 100, 100 and 50
+        monkeypatch.setattr(harness, "_CE_CHUNK", 100)
+        cfg = FtnConfig()
+        aligned = {s2: simulate_ce_mse(cfg, 0.8, 0.1, 250, sigma_s2=s2)
+                   for s2 in (0.0, 1.0, 4.0)}
+        calls = []
+        real_fold = harness._qpsk_fold
+
+        def refuse(*args):
+            raise AssertionError("the aligned chain drew data")
+
+        def counted(*args):
+            calls.append(args[1])
+            return real_fold(*args)
+
+        monkeypatch.setattr(harness, "_qpsk_fold", refuse)
+        for s2 in (0.0, 1.0, 4.0):
+            assert simulate_ce_mse(cfg, 0.8, 0.1, 250, sigma_s2=s2) == aligned[s2]
+        assert aligned[0.0] == aligned[1.0] == aligned[4.0]
+        monkeypatch.setattr(harness, "_qpsk_fold", counted)
+        simulate_ce_mse(replace(cfg, sia=False), 0.8, 0.1, 250)
+        assert calls == [100, 100, 50]
 
     @pytest.mark.parametrize("Q", [2, 16, 64, 65, 128])
     def test_qpsk_fold_is_the_fold_of_the_drawn_block(self, Q):
@@ -561,6 +592,19 @@ class TestCli:
         proc = run_cli("run", "--config", cfg_file, "--out", str(out), *null,
                        "--override", "ce_criterion=ls")
         assert proc.returncode == 4
+
+    @pytest.mark.parametrize("flagged, code", [(10, 0), (11, 4)])
+    def test_run_exits_numerical_past_one_percent(self, cfg_file, tmp_path, monkeypatch,
+                                                  capsys, flagged, code):
+        # exit 4 needs more than 1% of all trials flagged: 10 of 1000 is not
+        def sweep(cfg, workers=1):
+            rows = [harness.SweepRow("h", 0.8, 8.0, 0.0, 500, 0, 0.0, 0.0, 0.0, 0.0, None,
+                                     1.0, 0.0, flagged_trials=f) for f in (0, flagged)]
+            return harness.SweepTable(cfg=cfg, rows=rows)
+
+        monkeypatch.setattr(harness, "run_sweep", sweep)
+        assert cli.main(["run", "--config", cfg_file, "--out", str(tmp_path)]) == code
+        assert (f"{flagged}/1000 trials" in capsys.readouterr().err) == (code == 4)
 
     def test_mse_theory_null_comb_exits_numerical(self, cfg_file, tmp_path):
         proc = run_cli("mse-theory", "--config", cfg_file, "--out", str(tmp_path),
