@@ -176,20 +176,15 @@ class TestRunTrial:
         scenario = cell.scenario
         for name, arr in (("lambda_g", scenario.lambda_g), ("x_p", scenario.x_p),
                           ("noise_factor", scenario.noise_factor),
-                          ("phi_diag", scenario.phi_diag), ("mmse_w", cell.mmse_w)):
+                          ("phi_diag", scenario.phi_diag), ("mmse_w", cell.mmse_w),
+                          ("gamma", scenario.tables.gamma),
+                          ("phi_prime", scenario.tables.phi_prime)):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
             with pytest.raises(ValueError, match="read-only"):
                 arr *= 2.0
             assert not arr.flags.writeable, name
         assert run_trial(cell, 3) == before
-
-    def test_comb_tables_are_read_only(self):
-        tables = build_scenario(FtnConfig()).tables
-        for name, arr in (("gamma", tables.gamma), ("phi_prime", tables.phi_prime)):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 0.0
-            assert not arr.flags.writeable, name
 
     def test_perfect_csi_zero_mse(self):
         cell = build_cell(build_scenario(replace(FtnConfig(), csi="perfect")), 0.1)
