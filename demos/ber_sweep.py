@@ -1,7 +1,7 @@
 """Link-level BER comparison of the three receiver configurations.
 
-Runs short Monte Carlo sweeps at matched noise (the all-N spectral
-efficiency convention keeps sigma_v2 identical across configurations) and
+Runs short Monte Carlo sweeps at matched noise (one sigma_v2 per Eb/N0 is
+passed to all three configurations, so their noise realizations match) and
 prints BER for:
 
   * perfect CSI (genie channel knowledge),

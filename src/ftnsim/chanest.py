@@ -34,10 +34,13 @@ _GAMMA_FLOOR = 1e-6
 class CombTables:
     """Scenario-constant comb quantities, computed once per (beta, tau, nu, N, pilot); read-only."""
 
-    P: int
     Q: int
     gamma: np.ndarray = field(repr=False)       # lambda_g' * pilot_fd'
     phi_prime: np.ndarray = field(repr=False)   # FD noise variance at comb bins
+
+    @property
+    def P(self) -> int:
+        return len(self.gamma)
 
     @functools.cached_property
     def bad_bins(self) -> int:
@@ -62,14 +65,14 @@ def build_comb_tables(lambda_g, x_p, Q: int) -> CombTables:
     comb = slice(0, n, Q)
     gamma = lambda_g[comb] * x_p_fd[comb]
     phi_prime = phi_diag(lambda_g)[comb]
-    return CombTables(P=n // Q, Q=Q, gamma=read_only(gamma), phi_prime=read_only(phi_prime))
+    return CombTables(Q=Q, gamma=read_only(gamma), phi_prime=read_only(phi_prime))
 
 
-def extract_comb(y_tilde, P: int, Q: int):
-    """Take the P received FD samples on the comb bins k = iQ."""
+def extract_comb(y_tilde, Q: int):
+    """Take the N / Q received FD samples on the comb bins k = iQ."""
     y_tilde = np.asarray(y_tilde)
-    if y_tilde.shape[-1] != P * Q:
-        raise ValueError(f"length {y_tilde.shape[-1]} != P*Q = {P * Q}")
+    if Q < 1 or y_tilde.shape[-1] % Q:
+        raise ValueError(f"need Q >= 1 dividing the length, got length {y_tilde.shape[-1]}, Q={Q}")
     return y_tilde[..., ::Q]
 
 
@@ -97,27 +100,23 @@ def ce_mmse(y_prime, weights):
     return weights * np.asarray(y_prime)
 
 
-def fd_to_td(d_hat, P: int, L: int):
-    """Recover the L taps: h_hat = (1/sqrt(P)) F_{P,L}^H d_hat."""
+def fd_to_td(d_hat, L: int):
+    """Recover the L taps from the P comb samples: h_hat = (1/sqrt(P)) F_{P,L}^H d_hat."""
     d_hat = np.asarray(d_hat)
-    if d_hat.shape[-1] != P:
-        raise ValueError(f"d_hat length {d_hat.shape[-1]} != P = {P}")
-    if P < L:
-        raise ValueError(f"need P >= L, got P={P}, L={L}")
     # (1/sqrt(P)) F_{P}^H restricted to the first L rows == ifft, truncated
-    return d_hat @ idft_cols(P, L)
+    return d_hat @ idft_cols(d_hat.shape[-1], L)
 
 
-def estimate_channel(y_tilde, tables: CombTables, L: int, N: int, mmse_w=None):
+def estimate_channel(y_tilde, tables: CombTables, L: int, mmse_w=None):
     """Full chain: comb extraction -> LS (no ``mmse_w``) or MMSE weights -> taps -> full band.
 
     Returns (h_hat, lambda_eq): the L recovered taps and the FD response
     lambda_eq[k] = sum_l h_hat_l e^{-j 2 pi k l / N} that the FDE uses.
     """
-    y_prime = extract_comb(y_tilde, tables.P, tables.Q)
+    y_prime = extract_comb(y_tilde, tables.Q)
     d_hat = ce_ls(y_prime, tables) if mmse_w is None else ce_mmse(y_prime, mmse_w)
-    h_hat = fd_to_td(d_hat, tables.P, L)
-    return h_hat, h_hat @ dft_rows(L, N)
+    h_hat = fd_to_td(d_hat, L)
+    return h_hat, h_hat @ dft_rows(L, np.shape(y_tilde)[-1])
 
 
 def theoretical_mse_ls(tables: CombTables, L: int, sigma_v2: float) -> float:

@@ -18,8 +18,8 @@ _SECTIONS = {
     "waveform": ["tau", "beta", "nu"],
     "pilot": ["P", "Q", "sia"],
     "channel": ["L"],
-    "receiver": ["modulation", "ce_criterion", "eq_criterion", "csi", "n_ista"],
-    "sim": ["N", "sigma_s2", "ebn0_grid_db", "tau_grid", "seed",
+    "receiver": ["ce_criterion", "eq_criterion", "csi", "n_ista"],
+    "sim": ["sigma_s2", "ebn0_grid_db", "tau_grid", "seed",
             "min_trials", "max_trials", "target_bit_errors", "se_convention"],
 }
 
@@ -38,12 +38,10 @@ class FtnConfig:
     Q: int = 16
     sia: bool = True
     L: int = 8
-    modulation: str = "qpsk"
     ce_criterion: str = "mmse"
     eq_criterion: str = "mmse"
     csi: str = "estimated"
     n_ista: int = 3
-    N: int = 128
     sigma_s2: float = 1.0
     ebn0_grid_db: tuple = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0)
     tau_grid: tuple = ()
@@ -52,6 +50,11 @@ class FtnConfig:
     max_trials: int = 200_000
     target_bit_errors: int = 200
     se_convention: str = "info_dims"
+
+    @property
+    def N(self) -> int:
+        """Block length: P pilot bins, each Q bins apart."""
+        return self.P * self.Q
 
     def taus(self):
         return self.tau_grid if self.tau_grid else (self.tau,)
@@ -65,8 +68,6 @@ class FtnConfig:
                 errs.append(f"tau_grid entry {t} outside (0, 1]")
         if not 0.0 <= self.beta <= 1.0:
             errs.append(f"beta={self.beta} outside [0, 1]")
-        if self.N != self.P * self.Q:
-            errs.append(f"N={self.N} != P*Q={self.P * self.Q}")
         if self.L < 1:
             errs.append(f"L={self.L} < 1")
         if self.P < self.L:
@@ -77,8 +78,6 @@ class FtnConfig:
             errs.append(f"2*nu+1={2 * self.nu + 1} > N={self.N}")
         if self.Q < 2:
             errs.append(f"Q={self.Q} < 2 leaves the pilot power (1 - 1/Q) sigma_s2 at zero")
-        if self.modulation != "qpsk":
-            errs.append(f"unsupported modulation {self.modulation!r}")
         if self.ce_criterion not in ("ls", "mmse"):
             errs.append(f"ce_criterion={self.ce_criterion!r} not in (ls, mmse)")
         if self.eq_criterion not in ("ls", "mmse"):

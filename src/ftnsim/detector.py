@@ -57,22 +57,19 @@ def project_nearest(v, sigma_s2: float):
 _LS_FLOOR = 1e-12
 
 
-def fde_weights(lambda_eq, lambda_g, phi_diag, sigma_s2_eff, sigma_v2_eff,
-                criterion="mmse") -> np.ndarray:
+def fde_weights(lambda_eq, lambda_g, phi_diag, rho: float, criterion) -> np.ndarray:
     """Per-bin equalizer weights from Gamma_eq = diag(lambda_eq * lambda_g).
 
-    MMSE whitens the colored noise through phi_diag; LS inverts each bin,
-    giving weight 0 to bins below the conditioning floor.  Perfect-CSI
-    operation is the same call with the true channel response and unscaled
-    powers.
+    MMSE whitens the colored noise through phi_diag at the noise-to-signal
+    power ratio ``rho``; LS ignores ``rho`` and inverts each bin, giving
+    weight 0 to bins below the conditioning floor.  Perfect-CSI operation
+    is the same call with the true channel response.
     """
-    if sigma_s2_eff < 0 or sigma_v2_eff < 0:
-        raise ValueError("effective powers must be non-negative")
+    if not rho >= 0:  # False for NaN too
+        raise ValueError(f"need rho >= 0, got {rho}")
     gamma = np.asarray(lambda_eq) * np.asarray(lambda_g)
     if criterion == "mmse":
-        if sigma_s2_eff == 0:
-            raise ValueError("MMSE weights need sigma_s2_eff > 0")
-        return wiener_weights(gamma, sigma_v2_eff / sigma_s2_eff, phi_diag)
+        return wiener_weights(gamma, rho, phi_diag)
     if criterion == "ls":
         mag = np.abs(gamma)
         floor = _LS_FLOOR * max(float(mag.max()), 1.0)
@@ -82,11 +79,11 @@ def fde_weights(lambda_eq, lambda_g, phi_diag, sigma_s2_eff, sigma_v2_eff,
     raise ValueError(f"unknown equalizer criterion {criterion!r}")
 
 
-def zero_pilot_bins(y_tilde, P: int, Q: int):
+def zero_pilot_bins(y_tilde, Q: int):
     """Copy of the spectrum with the comb bins k = iQ set to zero."""
     y_tilde = np.asarray(y_tilde)
-    if y_tilde.shape[-1] != P * Q:
-        raise ValueError(f"length {y_tilde.shape[-1]} != P*Q = {P * Q}")
+    if Q < 1 or y_tilde.shape[-1] % Q:
+        raise ValueError(f"need Q >= 1 dividing the length, got length {y_tilde.shape[-1]}, Q={Q}")
     z = y_tilde.copy()
     z[..., ::Q] = 0.0
     return z
@@ -97,7 +94,7 @@ def equalize(z_tilde, w):
     return idft(w * np.asarray(z_tilde))
 
 
-def ista_detect(u, Q: int, sigma_s2: float, n_iter: int = 3):
+def ista_detect(u, Q: int, sigma_s2: float, n_iter: int):
     """Iterative detection of s from u ~ Psi s.
 
     Initialization uses Psi^+ = Psi; each iteration adds the projected

@@ -127,16 +127,13 @@ def run_trial(cell: Cell, trial_index: int) -> TrialResult:
         lambda_eq = lambda_h
         sq_err = 0.0
     else:
-        h_hat, lambda_eq = chanest.estimate_channel(
-            y_tilde, scenario.tables, cfg.L, cfg.N, cell.mmse_w)
+        h_hat, lambda_eq = chanest.estimate_channel(y_tilde, scenario.tables, cfg.L, cell.mmse_w)
         sq_err = float(np.add.reduce(np.abs(h - h_hat) ** 2))
 
-    scale = (1.0 - 1.0 / cfg.Q) if cfg.sia else 1.0
-    w = detector.fde_weights(
-        lambda_eq, scenario.lambda_g, scenario.phi_diag,
-        sigma_s2_eff=scale * cfg.sigma_s2, sigma_v2_eff=scale * sigma_v2,
-        criterion=cfg.eq_criterion)
-    z_tilde = detector.zero_pilot_bins(y_tilde, cfg.P, cfg.Q)
+    # alignment scales both powers by (1 - 1/Q), which cancels in their ratio
+    w = detector.fde_weights(lambda_eq, scenario.lambda_g, scenario.phi_diag,
+                             sigma_v2 / cfg.sigma_s2, cfg.eq_criterion)
+    z_tilde = detector.zero_pilot_bins(y_tilde, cfg.Q)
     u = detector.equalize(z_tilde, w)
 
     if cfg.sia:
@@ -229,7 +226,8 @@ def run_cell(cfg: FtnConfig, tau: float, ebn0_db: float, cell_index: int) -> Swe
         mse_ci95=1.96 * mse_se, mse_theory=_theory_mse(scenario, cell.sigma_v2),
         measured_tx_power=power_sum / trials,
         wall_s=time.perf_counter() - t0,
-        flagged_trials=trials if scenario.tables.bad_bins else 0,
+        # only a cell that estimates the channel reads the comb
+        flagged_trials=trials if cfg.csi == "estimated" and scenario.tables.bad_bins else 0,
     )
 
 
@@ -370,7 +368,7 @@ def simulate_ce_mse(cfg: FtnConfig, tau: float, sigma_v2: float, n_trials: int,
     scenario = build_scenario(cfg, tau)
     L, P, Q = cfg.L, cfg.P, cfg.Q
     x_p_fold = np.add.reduce(scenario.x_p.reshape(Q, P), axis=0)
-    noise_comb = chanest.extract_comb(scenario.noise_factor, P, Q)
+    noise_comb = chanest.extract_comb(scenario.noise_factor, Q)
 
     mmse_w = chanest.mmse_weights(scenario.tables, sigma_v2, tap_power(L))
     sums = {c: 0.0 for c in criteria}
@@ -401,7 +399,7 @@ def simulate_ce_mse(cfg: FtnConfig, tau: float, sigma_v2: float, n_trials: int,
                 d_hat = chanest.ce_ls(comb, scenario.tables)
             else:
                 d_hat = chanest.ce_mmse(comb, mmse_w)
-            h_hat = chanest.fd_to_td(d_hat, P, L)
+            h_hat = chanest.fd_to_td(d_hat, L)
             errs = np.sum(np.abs(h - h_hat) ** 2, axis=1)
             sums[crit] += float(errs.sum())
             sumsqs[crit] += float(np.sum(errs**2))

@@ -221,7 +221,7 @@ def ce_mse_reference(cfg, tau: float, sigma_v2: float, n_trials: int,
             else:
                 w = chanest.mmse_weights(scenario.tables, sigma_v2, 1.0 / L)
                 d_hat = chanest.ce_mmse(comb, w)
-            h_hat = chanest.fd_to_td(d_hat, P, L)
+            h_hat = chanest.fd_to_td(d_hat, L)
             errs[crit].append(np.sum(np.abs(h - h_hat) ** 2, axis=1))
         done += b
         chunk_idx += 1

@@ -130,8 +130,8 @@ def _separated(lo, hi):
 
 
 def test_criterion_4_ber_orderings(report):
-    # the all-N convention keeps sigma_v2 identical across receiver
-    # configurations, so the noise realizations are matched
+    # one sv2 is passed to all three receiver configurations, so their
+    # noise realizations are matched
     cfg = FtnConfig(se_convention="paper_all_n")
     sv2 = ebn0_to_sigma_v2(cfg, 10.0)
     n = 2000
@@ -165,7 +165,7 @@ def test_criterion_5_exact_chain_closures(report):
     h, lambda_h = sample_channel(8, 128, make_rng(52))
     x = compose_tx(np.zeros(128, complex), scenario.x_p, scenario.cfg.Q, scenario.cfg.sia)
     y_fd = transmit_fast(dft(x), lambda_h, scenario.lambda_g)
-    h_hat, _ = estimate_channel(y_fd, scenario.tables, 8, 128)
+    h_hat, _ = estimate_channel(y_fd, scenario.tables, 8)
     checks.append(("CE recovery", float(np.linalg.norm(h_hat - h)), 1e-9))
 
     rng = make_rng(53)

@@ -31,45 +31,46 @@ def received_fd(scenario, lambda_h, rng, sigma_v2=0.0, sigma_s2=1.0):
 class TestExtractComb:
     def test_identity_comb(self):
         v = np.arange(8) + 0j
-        np.testing.assert_array_equal(extract_comb(v, 8, 1), v)
+        np.testing.assert_array_equal(extract_comb(v, 1), v)
 
     def test_delta(self):
         v = np.zeros(32)
         v[4] = 1.0
-        out = extract_comb(v, 8, 4)
+        out = extract_comb(v, 4)
         np.testing.assert_array_equal(out, np.eye(8)[1])
 
     def test_index_arithmetic_oracle(self, rng):
         v = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-        out = extract_comb(v, 8, 16)
+        out = extract_comb(v, 16)
         expected = np.array([v[i * 16] for i in range(8)])
         np.testing.assert_array_equal(out, expected)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            extract_comb(np.zeros(100), 8, 16)
+        for n, Q in [(100, 16), (128, 0)]:
+            with pytest.raises(ValueError):
+                extract_comb(np.zeros(n), Q)
 
 
 class TestLs:
     def test_noise_free_exact(self, scenario):
         _, lambda_h = sample_channel(8, 128, make_rng(1))
         y_fd = received_fd(scenario, lambda_h, make_rng(2))
-        d_hat = ce_ls(extract_comb(y_fd, 8, 16), scenario.tables)
+        d_hat = ce_ls(extract_comb(y_fd, 16), scenario.tables)
         np.testing.assert_allclose(d_hat, lambda_h[::16], atol=1e-10)
 
     def test_flat_channel(self, scenario):
         y_fd = received_fd(scenario, np.ones(128, complex), make_rng(4))
-        d_hat = ce_ls(extract_comb(y_fd, 8, 16), scenario.tables)
+        d_hat = ce_ls(extract_comb(y_fd, 16), scenario.tables)
         np.testing.assert_allclose(d_hat, np.ones(8), atol=1e-10)
 
     def test_full_chain_recovery(self, scenario):
         h, lambda_h = sample_channel(8, 128, make_rng(5))
         y_fd = received_fd(scenario, lambda_h, make_rng(6))
-        h_hat, _ = estimate_channel(y_fd, scenario.tables, 8, 128)
+        h_hat, _ = estimate_channel(y_fd, scenario.tables, 8)
         assert np.linalg.norm(h_hat - h) < 1e-9
 
     def test_null_comb_rejected(self):
-        tables = chanest.CombTables(P=4, Q=4, gamma=np.array([1, 1, 1e-9, 1.0]),
+        tables = chanest.CombTables(Q=4, gamma=np.array([1, 1, 1e-9, 1.0]),
                                     phi_prime=np.ones(4))
         with pytest.raises(IllConditionedCombError):
             ce_ls(np.ones(4), tables)
@@ -95,15 +96,15 @@ class TestMmse:
         assert build_cell(build_scenario(FtnConfig(ce_criterion="ls")), sv2).mmse_w is None
         _, lambda_h = sample_channel(8, 128, make_rng(7))
         y_fd = received_fd(scenario, lambda_h, make_rng(8), sigma_v2=sv2)
-        y_prime = extract_comb(y_fd, 8, 16)
-        h_mmse, _ = estimate_channel(y_fd, scenario.tables, 8, 128, cell.mmse_w)
-        np.testing.assert_array_equal(h_mmse, fd_to_td(cell.mmse_w * y_prime, 8, 8))
-        h_ls, _ = estimate_channel(y_fd, scenario.tables, 8, 128)
-        np.testing.assert_array_equal(h_ls, fd_to_td(ce_ls(y_prime, scenario.tables), 8, 8))
+        y_prime = extract_comb(y_fd, 16)
+        h_mmse, _ = estimate_channel(y_fd, scenario.tables, 8, cell.mmse_w)
+        np.testing.assert_array_equal(h_mmse, fd_to_td(cell.mmse_w * y_prime, 8))
+        h_ls, _ = estimate_channel(y_fd, scenario.tables, 8)
+        np.testing.assert_array_equal(h_ls, fd_to_td(ce_ls(y_prime, scenario.tables), 8))
 
     def test_zero_noise_coincides_with_ls(self, scenario):
         _, lambda_h = sample_channel(8, 128, make_rng(7))
-        y_prime = extract_comb(received_fd(scenario, lambda_h, make_rng(8)), 8, 16)
+        y_prime = extract_comb(received_fd(scenario, lambda_h, make_rng(8)), 16)
         ls = ce_ls(y_prime, scenario.tables)
         mm = ce_mmse(y_prime, mmse_weights(scenario.tables, 0.0, 1 / 8))
         assert np.abs(ls - mm).max() < 1e-10
@@ -134,31 +135,31 @@ class TestMmse:
 
 class TestFdToTd:
     def test_flat_spectrum_is_delta(self):
-        h = fd_to_td(np.ones(8, complex), 8, 8)
+        h = fd_to_td(np.ones(8, complex), 8)
         np.testing.assert_allclose(h, np.eye(8)[0], atol=1e-12)
 
     def test_round_trip(self, rng):
         h = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         f = np.fft.fft(np.eye(8)) / np.sqrt(8)
         d = np.sqrt(8) * f[:, :5] @ h
-        np.testing.assert_allclose(fd_to_td(d, 8, 5), h, atol=1e-12)
+        np.testing.assert_allclose(fd_to_td(d, 5), h, atol=1e-12)
 
     def test_full_idft_dense_oracle(self, rng):
         d = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         f = np.fft.fft(np.eye(8)) / np.sqrt(8)
         expected = f.conj().T @ d / np.sqrt(8)
-        np.testing.assert_allclose(fd_to_td(d, 8, 8), expected, atol=1e-12)
+        np.testing.assert_allclose(fd_to_td(d, 8), expected, atol=1e-12)
 
     def test_p_below_l_rejected(self):
         with pytest.raises(ValueError):
-            fd_to_td(np.ones(4), 4, 6)
+            fd_to_td(np.ones(4), 6)
 
     def test_interpolation(self, rng):
         # the full-band response estimate_channel hands the FDE
-        tables = chanest.CombTables(P=8, Q=4, gamma=np.ones(8, complex),
+        tables = chanest.CombTables(Q=4, gamma=np.ones(8, complex),
                                     phi_prime=np.ones(8))
         y = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        h, lam = estimate_channel(y, tables, 4, 32)
+        h, lam = estimate_channel(y, tables, 4)
         k = 5
         expected = np.sum(h * np.exp(-2j * np.pi * k * np.arange(4) / 32))
         assert lam[k] == pytest.approx(expected, abs=1e-12)
@@ -238,5 +239,5 @@ class TestInterferenceProperties:
             h, lambda_h = sample_channel(L, 64, make_rng(20 + L))
             x = compose_tx(np.zeros(64, complex), x_p, 8, sia=True)
             y_fd = transmit_fast(dft(x), lambda_h, lambda_g)
-            h_hat, _ = estimate_channel(y_fd, tables, L, 64)
+            h_hat, _ = estimate_channel(y_fd, tables, L)
             assert np.linalg.norm(h_hat - h) < 1e-9

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -76,11 +78,11 @@ class TestConstellation:
 class TestFdeWeights:
     def test_zero_noise_mmse_is_zero_forcing(self, rng):
         gamma_h = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        w = fde_weights(gamma_h, np.ones(16), np.ones(16), 1.0, 0.0, "mmse")
+        w = fde_weights(gamma_h, np.ones(16), np.ones(16), 0.0, "mmse")
         np.testing.assert_allclose(w, 1 / gamma_h, atol=1e-12)
 
     def test_flat_nyquist_passthrough(self):
-        w = fde_weights(np.ones(16), np.ones(16), np.ones(16), 1.0, 0.0, "mmse")
+        w = fde_weights(np.ones(16), np.ones(16), np.ones(16), 0.0, "mmse")
         np.testing.assert_allclose(w, np.ones(16), atol=1e-12)
 
     def test_dense_matrix_oracle(self, rng):
@@ -89,7 +91,7 @@ class TestFdeWeights:
         lam_g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         phi = rng.uniform(0.1, 2.0, n)
         s2, v2 = 0.9, 0.3
-        w = fde_weights(lam_h, lam_g, phi, s2, v2, "mmse")
+        w = fde_weights(lam_h, lam_g, phi, v2 / s2, "mmse")
         gamma = np.diag(lam_h * lam_g)
         dense = gamma.conj().T @ np.linalg.inv(
             gamma @ gamma.conj().T + v2 / s2 * np.diag(phi))
@@ -98,7 +100,7 @@ class TestFdeWeights:
     def test_mmse_never_exceeds_zero_forcing(self, rng):
         lam_h = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         lam_g = rng.uniform(0.1, 2, 32)
-        w = fde_weights(lam_h, lam_g, np.ones(32), 1.0, 0.5, "mmse")
+        w = fde_weights(lam_h, lam_g, np.ones(32), 0.5, "mmse")
         assert np.all(np.abs(w) <= 1 / np.abs(lam_h * lam_g) + 1e-12)
 
     def test_mmse_zero_over_zero_bin_gets_zero_weight(self, rng):
@@ -106,7 +108,7 @@ class TestFdeWeights:
         lam_g = rng.uniform(0.1, 2.0, 16)
         phi = rng.uniform(0.1, 2.0, 16)
         lam_g[5] = phi[5] = 0.0   # no signal and no noise on bin 5
-        w = fde_weights(lam_h, lam_g, phi, 1.0, 0.3, "mmse")
+        w = fde_weights(lam_h, lam_g, phi, 0.3, "mmse")
         keep = np.arange(16) != 5
         gamma = (lam_h * lam_g)[keep]
         assert w[5] == 0.0
@@ -119,7 +121,7 @@ class TestFdeWeights:
         phi = phi_diag(scenario.lambda_g)
         for seed in range(5):
             _, lambda_h = sample_channel(8, 128, make_rng(seed))
-            w = fde_weights(lambda_h, scenario.lambda_g, phi, 0.9375, 0.05, "mmse")
+            w = fde_weights(lambda_h, scenario.lambda_g, phi, 0.05 / 0.9375, "mmse")
             gamma = lambda_h * scenario.lambda_g
             num = np.conj(gamma)
             den = np.abs(gamma) ** 2 + 0.05 / 0.9375 * phi
@@ -127,28 +129,39 @@ class TestFdeWeights:
             np.testing.assert_array_equal(
                 w, np.divide(num, den, out=np.zeros_like(num), where=den != 0))
 
+    @pytest.mark.parametrize("rho", [-1e-3, math.nan])
+    def test_rejects_negative_or_nan_rho(self, rho):
+        for criterion in ("mmse", "ls"):
+            with pytest.raises(ValueError, match="rho"):
+                fde_weights(np.ones(4), np.ones(4), np.ones(4), rho, criterion)
+
     def test_ls_flags_null_bins(self):
         lam = np.array([1.0, 1.0, 0.0, 1.0])
-        w = fde_weights(lam, np.ones(4), np.ones(4), 1.0, 0.0, "ls")
+        w = fde_weights(lam, np.ones(4), np.ones(4), 0.0, "ls")
         assert np.count_nonzero(w == 0) == 1
         assert w[2] == 0.0
 
 
 class TestZeroPilotBins:
     def test_small_example(self):
-        out = zero_pilot_bins(np.ones(4), 2, 2)
+        out = zero_pilot_bins(np.ones(4), 2)
         np.testing.assert_array_equal(out, [0, 1, 0, 1])
 
     def test_energy_accounting(self, rng):
         v = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        out = zero_pilot_bins(v, 8, 4)
+        out = zero_pilot_bins(v, 4)
         removed = np.sum(np.abs(v) ** 2) - np.sum(np.abs(out) ** 2)
         assert removed == pytest.approx(np.sum(np.abs(v[::4]) ** 2), rel=1e-12)
 
     def test_idempotent(self, rng):
         v = rng.standard_normal(32) * (1 + 1j)
-        once = zero_pilot_bins(v, 8, 4)
-        np.testing.assert_array_equal(zero_pilot_bins(once, 8, 4), once)
+        once = zero_pilot_bins(v, 4)
+        np.testing.assert_array_equal(zero_pilot_bins(once, 4), once)
+
+    def test_dimension_mismatch(self):
+        for n, Q in [(100, 16), (128, 0)]:
+            with pytest.raises(ValueError):
+                zero_pilot_bins(np.zeros(n), Q)
 
     def test_no_data_energy_lost_with_alignment(self):
         # transmitted data spectrum is exactly zero on the comb, so the
@@ -166,12 +179,12 @@ class TestZeroPilotBins:
 
 class TestEqualize:
     def test_zero_input(self):
-        w = fde_weights(np.ones(8), np.ones(8), np.ones(8), 1, 0, "ls")
+        w = fde_weights(np.ones(8), np.ones(8), np.ones(8), 0, "ls")
         np.testing.assert_array_equal(equalize(np.zeros(8), w), np.zeros(8))
 
     def test_unit_weights_are_idft(self, rng):
         z = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        w = fde_weights(np.ones(16), np.ones(16), np.ones(16), 1, 0, "ls")
+        w = fde_weights(np.ones(16), np.ones(16), np.ones(16), 0, "ls")
         np.testing.assert_allclose(equalize(z, w),
                                    np.fft.ifft(z) * 4, atol=1e-12)
 
@@ -183,8 +196,8 @@ class TestEqualize:
         x = compose_tx(s, scenario.x_p, scenario.cfg.Q, scenario.cfg.sia)
         y_fd = transmit_fast(dft(x), lambda_h, scenario.lambda_g)
         w = fde_weights(lambda_h, scenario.lambda_g,
-                        phi_diag(scenario.lambda_g), 1.0, 0.0, "ls")
-        u = equalize(zero_pilot_bins(y_fd, 8, 16), w)
+                        phi_diag(scenario.lambda_g), 0.0, "ls")
+        u = equalize(zero_pilot_bins(y_fd, 16), w)
         psi_s = apply_projector(s, scenario.cfg.Q)
         mask = np.ones(128, bool)
         mask[::16] = False
@@ -199,7 +212,7 @@ class TestEqualize:
         s = map_bits(rng.integers(0, 2, 256), scenario.cfg.sigma_s2)
         y_fd = transmit_fast(dft(s), lambda_h, scenario.lambda_g)
         w = fde_weights(lambda_h, scenario.lambda_g,
-                        phi_diag(scenario.lambda_g), 1.0, 0.0, "mmse")
+                        phi_diag(scenario.lambda_g), 0.0, "mmse")
         s_hat = equalize(y_fd, w)
         assert np.abs(s_hat - s).max() < 1e-8
 

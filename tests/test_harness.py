@@ -32,11 +32,9 @@ class TestConfig:
     def test_reference_defaults(self):
         cfg = FtnConfig()
         assert (cfg.L, cfg.P, cfg.Q, cfg.N, cfg.nu) == (8, 8, 16, 128, 10)
-        assert cfg.beta == 0.5 and cfg.n_ista == 3 and cfg.modulation == "qpsk"
+        assert cfg.beta == 0.5 and cfg.n_ista == 3
 
     def test_invariants_enforced(self):
-        with pytest.raises(ConfigError):
-            replace(FtnConfig(), N=120).validate()
         with pytest.raises(ConfigError):
             replace(FtnConfig(), L=9).validate()
         with pytest.raises(ConfigError):
@@ -59,6 +57,11 @@ class TestConfig:
             cfg = replace(FtnConfig(), tau=0.9, seed=777, sia=False, ebn0_grid_db=grid)
             path.write_text(dump_config(cfg))
             assert load_config(path) == cfg
+        # N is P Q, not a key; QPSK is the only modulation, so it is no key either
+        text = dump_config(FtnConfig(P=4, Q=8, L=4))
+        assert not {"N", "modulation"} & {line.split(" = ")[0] for line in text.splitlines()}
+        path.write_text(text)
+        assert load_config(path).N == 32
 
     def test_overrides(self):
         cfg = apply_overrides(FtnConfig(), ["tau=0.7", "seed=9", "sia=off"])
@@ -69,6 +72,9 @@ class TestConfig:
             apply_overrides(FtnConfig(), ["nonsense=1"])
         with pytest.raises(ConfigError):
             apply_overrides(FtnConfig(), ["tau"])
+        for derived in ("N=64", "modulation=qpsk"):
+            with pytest.raises(ConfigError, match="unknown config key"):
+                apply_overrides(FtnConfig(), [derived])
 
     @pytest.mark.parametrize("body", [
         "[waveform]\nwat = 1\n",
@@ -84,7 +90,7 @@ class TestConfig:
 
     def test_hash_tracks_content(self):
         a = scenario_hash(FtnConfig())
-        assert a == scenario_hash(FtnConfig()) == "0abd7cfeb581"
+        assert a == scenario_hash(FtnConfig()) == "9e1b90cf162a"
         assert a != scenario_hash(replace(FtnConfig(), seed=1))
         grid = replace(FtnConfig(), ebn0_grid_db=(0.0, 1.0))
         assert scenario_hash(grid) != scenario_hash(
@@ -207,7 +213,7 @@ def any_config(draw):
     P, Q = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     L = draw(st.integers(1, P))
     return FtnConfig(
-        P=P, Q=Q, N=P * Q, L=L, nu=draw(st.integers(L, max(L, P * Q // 2))),
+        P=P, Q=Q, L=L, nu=draw(st.integers(L, max(L, P * Q // 2))),
         tau=draw(st.floats(0.2, 1.0)), beta=draw(st.floats(0.0, 1.0)),
         sia=draw(st.booleans()), ce_criterion=draw(st.sampled_from(["ls", "mmse"])),
         eq_criterion=draw(st.sampled_from(["ls", "mmse"])),
@@ -259,7 +265,7 @@ class TestSimulateCeMse:
     @pytest.mark.parametrize("sia", [True, False])
     def test_matches_full_band_reference_past_one_word(self, sia):
         # Q = 65 takes two data words per (component, position), the second masked
-        cfg = FtnConfig(N=130, P=2, Q=65, L=2, sia=sia)
+        cfg = FtnConfig(P=2, Q=65, L=2, sia=sia)
         sv2 = ebn0_to_sigma_v2(cfg, 8.0)
         got = simulate_ce_mse(cfg, 0.8, sv2, 300, seed=5)
         want = ce_mse_reference(cfg, 0.8, sv2, 300, seed=5)
@@ -347,9 +353,9 @@ class TestSimulateCeMse:
         var = sv2 * nf[::Q] ** 2
         draws = {
             "comb only": lambda rng, b: colored_noise(
-                chanest.extract_comb(nf, P, Q), sv2, rng, trials=b),
+                chanest.extract_comb(nf, Q), sv2, rng, trials=b),
             "full band": lambda rng, b: chanest.extract_comb(
-                colored_noise(nf, sv2, rng, trials=b), P, Q),
+                colored_noise(nf, sv2, rng, trials=b), Q),
         }
         chunks, b = 5, 20_000
         n = chunks * b
@@ -471,6 +477,9 @@ class TestRunSweep:
         assert [r.flagged_trials for r in run_sweep(cfg).rows] == [0]
         rows = run_sweep(replace(cfg, tau=0.5, beta=1.0)).rows
         assert [r.flagged_trials for r in rows] == [r.trials for r in rows] == [20]
+        # with perfect CSI no trial reads the comb
+        rows = run_sweep(replace(cfg, tau=0.5, beta=1.0, csi="perfect")).rows
+        assert [r.flagged_trials for r in rows] == [0]
 
 
 class TestEmitResults:
@@ -517,9 +526,15 @@ class TestCli:
         assert proc.returncode == 0
         assert "config OK" in proc.stdout
 
-    def test_validate_bad_config(self, cfg_file):
+    def test_validate_bad_config(self, cfg_file, tmp_path):
         proc = run_cli("validate", "--config", cfg_file, "--override", "L=9")
         assert proc.returncode == 2
+        # N follows from P and Q, so a file cannot set it
+        sets_n = tmp_path / "sets_n.cfg"
+        sets_n.write_text("[sim]\nN = 128\n")
+        proc = run_cli("validate", "--config", str(sets_n))
+        assert proc.returncode == 2
+        assert "unknown config key 'N'" in proc.stderr
 
     def test_run_negative_seed_is_config_error(self, cfg_file, tmp_path):
         proc = run_cli("run", "--config", cfg_file, "--out", str(tmp_path),
@@ -587,6 +602,10 @@ class TestCli:
         proc = run_cli("run", "--config", cfg_file, "--out", str(out), *null,
                        "--override", "ce_criterion=ls")
         assert proc.returncode == 4
+        # perfect CSI never reads the comb, so nothing is flagged
+        proc = run_cli("run", "--config", cfg_file, "--out", str(out), *null,
+                       "--override", "csi=perfect")
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("flagged, code", [(10, 0), (11, 4)])
     def test_run_exits_numerical_past_one_percent(self, cfg_file, tmp_path, monkeypatch,

@@ -52,9 +52,9 @@ class TestChuPilot:
         # Q = 1 leaves the pilot power (1 - 1/Q) sigma_s2 at zero, with
         # alignment on or off; the same N = 8 config at Q = 2 is valid
         for sia in (True, False):
-            FtnConfig(P=4, Q=2, N=8, nu=3, L=3, sia=sia).validate()
+            FtnConfig(P=4, Q=2, nu=3, L=3, sia=sia).validate()
             with pytest.raises(ConfigError, match=r"^Q=1 < 2 leaves the pilot power"):
-                FtnConfig(P=8, Q=1, N=8, nu=3, L=3, sia=sia).validate()
+                FtnConfig(P=8, Q=1, nu=3, L=3, sia=sia).validate()
 
 
 class TestSiaTransform:
@@ -79,7 +79,7 @@ class TestSiaTransform:
         assert np.abs(fd_t[mask] - fd_s[mask]).max() < 1e-12
 
     def test_dimension_mismatch(self):
-        for fn in (cyclic_mean, apply_projector, partial(ista_detect, sigma_s2=1.0)):
+        for fn in (cyclic_mean, apply_projector, partial(ista_detect, sigma_s2=1.0, n_iter=3)):
             with pytest.raises(ValueError):
                 fn(np.ones(N + 1), Q)
             with pytest.raises(ValueError):

@@ -128,7 +128,7 @@ class TestKernelProperties:
 
     def test_invalid_params(self):
         # a valid N=32 config with one waveform parameter out of range
-        cfg = FtnConfig(nu=4, P=8, Q=4, N=32, L=4)
+        cfg = FtnConfig(nu=4, P=8, Q=4, L=4)
         cfg.validate()
         with pytest.raises(ConfigError, match=r"^tau=0\.0 outside \(0, 1\]$"):
             replace(cfg, tau=0.0).validate()
