@@ -6,7 +6,8 @@ its closed-form MSE, or, for ``run``, cells that estimate the channel on an
 ill-conditioned comb and hold more than 1% of the sweep's trials (such a
 cell flags all its trials; a perfect-CSI cell never reads the comb).
 ``mse-theory`` still writes its file then, with ``mse_ls`` empty on the
-ill-conditioned taus.
+ill-conditioned taus; with alignment off it leaves both columns empty and
+exits 0.
 """
 
 from __future__ import annotations
@@ -92,16 +93,21 @@ def cmd_mse_theory(args):
         scenario = harness.build_scenario(cfg, tau)
         for ebn0 in cfg.ebn0_grid_db:
             sv2 = harness.ebn0_to_sigma_v2(cfg, ebn0, tau)
-            # an ill-conditioned comb leaves mse_ls empty; MMSE stays finite there
-            try:
-                ls = f"{theoretical_mse_ls(scenario.tables, cfg.L, sv2):.17g}"
-            except IllConditionedCombError as exc:
-                ls, failure = "", exc
-            mm = theoretical_mse_mmse(scenario.tables, cfg.L, sv2)
-            lines.append(f"{tau:.17g},{ebn0:.17g},{sv2:.17g},{ls},{mm:.17g}")
+            ls = mm = ""
+            if cfg.sia:
+                # an ill-conditioned comb leaves mse_ls empty; MMSE stays finite there
+                try:
+                    ls = f"{theoretical_mse_ls(scenario.tables, cfg.L, sv2):.17g}"
+                except IllConditionedCombError as exc:
+                    failure = exc
+                mm = f"{theoretical_mse_mmse(scenario.tables, cfg.L, sv2):.17g}"
+            lines.append(f"{tau:.17g},{ebn0:.17g},{sv2:.17g},{ls},{mm}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {path}")
+    if not cfg.sia:
+        print("alignment off: the closed forms assume no data on the comb; "
+              "mse_ls and mse_mmse left empty", file=sys.stderr)
     if failure is not None:
         print(f"numerical failure: {failure}; mse_ls left empty", file=sys.stderr)
         return EXIT_NUMERICAL

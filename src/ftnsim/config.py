@@ -6,7 +6,7 @@ import configparser
 import hashlib
 import io
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 
 class ConfigError(ValueError):
@@ -18,13 +18,10 @@ _SECTIONS = {
     "waveform": ["tau", "beta", "nu"],
     "pilot": ["P", "Q", "sia"],
     "channel": ["L"],
-    "receiver": ["ce_criterion", "eq_criterion", "csi", "n_ista"],
+    "receiver": ["ce_criterion", "csi", "n_ista"],
     "sim": ["sigma_s2", "ebn0_grid_db", "tau_grid", "seed",
             "min_trials", "max_trials", "target_bit_errors", "se_convention"],
 }
-
-_BOOLS = {"on": True, "off": False, "true": True, "false": False,
-          "1": True, "0": False, "yes": True, "no": False}
 
 
 @dataclass(frozen=True)
@@ -39,7 +36,6 @@ class FtnConfig:
     sia: bool = True
     L: int = 8
     ce_criterion: str = "mmse"
-    eq_criterion: str = "mmse"
     csi: str = "estimated"
     n_ista: int = 3
     sigma_s2: float = 1.0
@@ -80,14 +76,14 @@ class FtnConfig:
             errs.append(f"Q={self.Q} < 2 leaves the pilot power (1 - 1/Q) sigma_s2 at zero")
         if self.ce_criterion not in ("ls", "mmse"):
             errs.append(f"ce_criterion={self.ce_criterion!r} not in (ls, mmse)")
-        if self.eq_criterion not in ("ls", "mmse"):
-            errs.append(f"eq_criterion={self.eq_criterion!r} not in (ls, mmse)")
         if self.csi not in ("estimated", "perfect"):
             errs.append(f"csi={self.csi!r} not in (estimated, perfect)")
         if self.se_convention not in ("info_dims", "paper_all_n"):
             errs.append(f"se_convention={self.se_convention!r} unknown")
         if not 0 < self.sigma_s2 < math.inf:
             errs.append(f"sigma_s2={self.sigma_s2} not positive and finite")
+        if not self.ebn0_grid_db:
+            errs.append("ebn0_grid_db is empty")
         for e in self.ebn0_grid_db:
             if not math.isfinite(e):
                 errs.append(f"ebn0_grid_db entry {e} not finite")
@@ -108,7 +104,7 @@ def _parse_value(name, raw, kind):
     raw = raw.strip()
     if kind is bool:
         try:
-            return _BOOLS[raw.lower()]
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         except KeyError:
             raise ConfigError(f"{name}: expected on/off, got {raw!r}") from None
     try:
@@ -171,8 +167,3 @@ def dump_config(cfg: FtnConfig) -> str:
 
 def scenario_hash(cfg: FtnConfig) -> str:
     return hashlib.sha256(dump_config(cfg).encode()).hexdigest()[:12]
-
-
-def as_dict(cfg: FtnConfig) -> dict:
-    return {f.name: (list(v) if isinstance(v := getattr(cfg, f.name), tuple) else v)
-            for f in fields(FtnConfig)}

@@ -1,7 +1,7 @@
 """FDE on the pilot-zeroed spectrum and iterative projector-based detection.
 
-The equalizer works per frequency bin with colored-noise-aware MMSE (or
-plain LS) weights; comb bins are discarded first, which loses no data
+The equalizer works per frequency bin with colored-noise-aware MMSE
+weights; comb bins are discarded first, which loses no data
 energy when alignment is active since the data spectrum is exactly zero
 there.  The equalized block estimates Psi s, and the detector inverts the
 singular projector by exploiting Psi^+ = Psi plus entrywise projection
@@ -53,30 +53,17 @@ def project_nearest(v, sigma_s2: float):
     return np.where(s.view(np.float64) < 0, -a, a).view(complex).reshape(np.shape(v))
 
 
-# LS bins with |gamma| below this fraction of max(|gamma|, 1) get weight 0
-_LS_FLOOR = 1e-12
+def fde_weights(lambda_eq, lambda_g, phi_diag, rho: float) -> np.ndarray:
+    """Per-bin MMSE equalizer weights from Gamma_eq = diag(lambda_eq * lambda_g).
 
-
-def fde_weights(lambda_eq, lambda_g, phi_diag, rho: float, criterion) -> np.ndarray:
-    """Per-bin equalizer weights from Gamma_eq = diag(lambda_eq * lambda_g).
-
-    MMSE whitens the colored noise through phi_diag at the noise-to-signal
-    power ratio ``rho``; LS ignores ``rho`` and inverts each bin, giving
-    weight 0 to bins below the conditioning floor.  Perfect-CSI operation
-    is the same call with the true channel response.
+    The weights whiten the colored noise through phi_diag at the
+    noise-to-signal power ratio ``rho``.  At ``rho = 0`` they invert each
+    bin (zero forcing), with weight 0 on an exact null.  Perfect-CSI
+    operation is the same call with the true channel response.
     """
     if not rho >= 0:  # False for NaN too
         raise ValueError(f"need rho >= 0, got {rho}")
-    gamma = np.asarray(lambda_eq) * np.asarray(lambda_g)
-    if criterion == "mmse":
-        return wiener_weights(gamma, rho, phi_diag)
-    if criterion == "ls":
-        mag = np.abs(gamma)
-        floor = _LS_FLOOR * max(float(mag.max()), 1.0)
-        bad = mag < floor
-        safe = np.where(bad, floor, gamma)
-        return np.where(bad, 0.0, 1.0 / safe)
-    raise ValueError(f"unknown equalizer criterion {criterion!r}")
+    return wiener_weights(np.asarray(lambda_eq) * np.asarray(lambda_g), rho, phi_diag)
 
 
 def zero_pilot_bins(y_tilde, Q: int):

@@ -13,13 +13,13 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import chanest, detector, pilot
 from .channel import colored_noise, phi_diag, sample_channel, tap_power, transmit_fast
-from .config import FtnConfig, as_dict, scenario_hash
+from .config import FtnConfig, scenario_hash
 from .core import circulant_matvec, complex_gaussian, dft, dft_rows, make_rng, read_only
 from .waveform import build_isi_circulant
 
@@ -132,7 +132,7 @@ def run_trial(cell: Cell, trial_index: int) -> TrialResult:
 
     # alignment scales both powers by (1 - 1/Q), which cancels in their ratio
     w = detector.fde_weights(lambda_eq, scenario.lambda_g, scenario.phi_diag,
-                             sigma_v2 / cfg.sigma_s2, cfg.eq_criterion)
+                             sigma_v2 / cfg.sigma_s2)
     z_tilde = detector.zero_pilot_bins(y_tilde, cfg.Q)
     u = detector.equalize(z_tilde, w)
 
@@ -290,7 +290,7 @@ def emit_results(table: SweepTable, fmt: str = "csv", path: str = "results",
     if fmt in ("json", "both"):
         fname = path + ".json"
         doc = {
-            "config": as_dict(table.cfg),
+            "config": asdict(table.cfg),
             "scenario_hash": scenario_hash(table.cfg),
             "rows": [row_values(r) for r in table.rows],
         }

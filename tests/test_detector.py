@@ -78,11 +78,11 @@ class TestConstellation:
 class TestFdeWeights:
     def test_zero_noise_mmse_is_zero_forcing(self, rng):
         gamma_h = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        w = fde_weights(gamma_h, np.ones(16), np.ones(16), 0.0, "mmse")
+        w = fde_weights(gamma_h, np.ones(16), np.ones(16), 0.0)
         np.testing.assert_allclose(w, 1 / gamma_h, atol=1e-12)
 
     def test_flat_nyquist_passthrough(self):
-        w = fde_weights(np.ones(16), np.ones(16), np.ones(16), 0.0, "mmse")
+        w = fde_weights(np.ones(16), np.ones(16), np.ones(16), 0.0)
         np.testing.assert_allclose(w, np.ones(16), atol=1e-12)
 
     def test_dense_matrix_oracle(self, rng):
@@ -91,7 +91,7 @@ class TestFdeWeights:
         lam_g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         phi = rng.uniform(0.1, 2.0, n)
         s2, v2 = 0.9, 0.3
-        w = fde_weights(lam_h, lam_g, phi, v2 / s2, "mmse")
+        w = fde_weights(lam_h, lam_g, phi, v2 / s2)
         gamma = np.diag(lam_h * lam_g)
         dense = gamma.conj().T @ np.linalg.inv(
             gamma @ gamma.conj().T + v2 / s2 * np.diag(phi))
@@ -100,7 +100,7 @@ class TestFdeWeights:
     def test_mmse_never_exceeds_zero_forcing(self, rng):
         lam_h = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         lam_g = rng.uniform(0.1, 2, 32)
-        w = fde_weights(lam_h, lam_g, np.ones(32), 0.5, "mmse")
+        w = fde_weights(lam_h, lam_g, np.ones(32), 0.5)
         assert np.all(np.abs(w) <= 1 / np.abs(lam_h * lam_g) + 1e-12)
 
     def test_mmse_zero_over_zero_bin_gets_zero_weight(self, rng):
@@ -108,7 +108,7 @@ class TestFdeWeights:
         lam_g = rng.uniform(0.1, 2.0, 16)
         phi = rng.uniform(0.1, 2.0, 16)
         lam_g[5] = phi[5] = 0.0   # no signal and no noise on bin 5
-        w = fde_weights(lam_h, lam_g, phi, 0.3, "mmse")
+        w = fde_weights(lam_h, lam_g, phi, 0.3)
         keep = np.arange(16) != 5
         gamma = (lam_h * lam_g)[keep]
         assert w[5] == 0.0
@@ -121,7 +121,7 @@ class TestFdeWeights:
         phi = phi_diag(scenario.lambda_g)
         for seed in range(5):
             _, lambda_h = sample_channel(8, 128, make_rng(seed))
-            w = fde_weights(lambda_h, scenario.lambda_g, phi, 0.05 / 0.9375, "mmse")
+            w = fde_weights(lambda_h, scenario.lambda_g, phi, 0.05 / 0.9375)
             gamma = lambda_h * scenario.lambda_g
             num = np.conj(gamma)
             den = np.abs(gamma) ** 2 + 0.05 / 0.9375 * phi
@@ -131,13 +131,12 @@ class TestFdeWeights:
 
     @pytest.mark.parametrize("rho", [-1e-3, math.nan])
     def test_rejects_negative_or_nan_rho(self, rho):
-        for criterion in ("mmse", "ls"):
-            with pytest.raises(ValueError, match="rho"):
-                fde_weights(np.ones(4), np.ones(4), np.ones(4), rho, criterion)
+        with pytest.raises(ValueError, match="rho"):
+            fde_weights(np.ones(4), np.ones(4), np.ones(4), rho)
 
-    def test_ls_flags_null_bins(self):
+    def test_zero_rho_gives_null_bin_zero_weight(self):
         lam = np.array([1.0, 1.0, 0.0, 1.0])
-        w = fde_weights(lam, np.ones(4), np.ones(4), 0.0, "ls")
+        w = fde_weights(lam, np.ones(4), np.ones(4), 0.0)
         assert np.count_nonzero(w == 0) == 1
         assert w[2] == 0.0
 
@@ -179,12 +178,12 @@ class TestZeroPilotBins:
 
 class TestEqualize:
     def test_zero_input(self):
-        w = fde_weights(np.ones(8), np.ones(8), np.ones(8), 0, "ls")
+        w = fde_weights(np.ones(8), np.ones(8), np.ones(8), 0)
         np.testing.assert_array_equal(equalize(np.zeros(8), w), np.zeros(8))
 
     def test_unit_weights_are_idft(self, rng):
         z = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        w = fde_weights(np.ones(16), np.ones(16), np.ones(16), 0, "ls")
+        w = fde_weights(np.ones(16), np.ones(16), np.ones(16), 0)
         np.testing.assert_allclose(equalize(z, w),
                                    np.fft.ifft(z) * 4, atol=1e-12)
 
@@ -196,7 +195,7 @@ class TestEqualize:
         x = compose_tx(s, scenario.x_p, scenario.cfg.Q, scenario.cfg.sia)
         y_fd = transmit_fast(dft(x), lambda_h, scenario.lambda_g)
         w = fde_weights(lambda_h, scenario.lambda_g,
-                        phi_diag(scenario.lambda_g), 0.0, "ls")
+                        phi_diag(scenario.lambda_g), 0.0)
         u = equalize(zero_pilot_bins(y_fd, 16), w)
         psi_s = apply_projector(s, scenario.cfg.Q)
         mask = np.ones(128, bool)
@@ -212,7 +211,7 @@ class TestEqualize:
         s = map_bits(rng.integers(0, 2, 256), scenario.cfg.sigma_s2)
         y_fd = transmit_fast(dft(s), lambda_h, scenario.lambda_g)
         w = fde_weights(lambda_h, scenario.lambda_g,
-                        phi_diag(scenario.lambda_g), 0.0, "mmse")
+                        phi_diag(scenario.lambda_g), 0.0)
         s_hat = equalize(y_fd, w)
         assert np.abs(s_hat - s).max() < 1e-8
 

@@ -4,17 +4,17 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftnsim import chanest, cli, harness
+from ftnsim import chanest, cli, config, harness
 from ftnsim.channel import colored_noise
-from ftnsim.config import (ConfigError, FtnConfig, apply_overrides, as_dict,
-                           dump_config, load_config, scenario_hash)
+from ftnsim.config import (ConfigError, FtnConfig, apply_overrides, dump_config,
+                           load_config, scenario_hash)
 from ftnsim.core import make_rng
 from ftnsim.harness import (build_cell, build_scenario, ebn0_to_sigma_v2,
                             emit_results, run_sweep, run_trial, simulate_ce_mse,
@@ -46,7 +46,7 @@ class TestConfig:
         for bad in (dict(L=0), dict(L=-1), dict(L=0, nu=0), dict(sigma_s2=0.0),
                     dict(sigma_s2=math.inf), dict(sigma_s2=math.nan),
                     dict(ebn0_grid_db=(0.0, math.nan)), dict(ebn0_grid_db=(math.inf,)),
-                    dict(ebn0_grid_db=(-math.inf, 4.0))):
+                    dict(ebn0_grid_db=(-math.inf, 4.0)), dict(ebn0_grid_db=())):
             with pytest.raises(ConfigError):
                 replace(FtnConfig(), **bad).validate()
 
@@ -72,9 +72,10 @@ class TestConfig:
             apply_overrides(FtnConfig(), ["nonsense=1"])
         with pytest.raises(ConfigError):
             apply_overrides(FtnConfig(), ["tau"])
-        for derived in ("N=64", "modulation=qpsk"):
+        # N and modulation are derived; the equalizer is always MMSE
+        for removed in ("N=64", "modulation=qpsk", "eq_criterion=ls"):
             with pytest.raises(ConfigError, match="unknown config key"):
-                apply_overrides(FtnConfig(), [derived])
+                apply_overrides(FtnConfig(), [removed])
 
     @pytest.mark.parametrize("body", [
         "[waveform]\nwat = 1\n",
@@ -88,9 +89,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_sections_list_every_field_once(self):
+        # a field missing here would drop out of dump_config and scenario_hash
+        keys = [key for keys in config._SECTIONS.values() for key in keys]
+        assert sorted(keys) == sorted(f.name for f in fields(FtnConfig))
+
     def test_hash_tracks_content(self):
         a = scenario_hash(FtnConfig())
-        assert a == scenario_hash(FtnConfig()) == "9e1b90cf162a"
+        assert a == scenario_hash(FtnConfig()) == "aabc248d7917"
         assert a != scenario_hash(replace(FtnConfig(), seed=1))
         grid = replace(FtnConfig(), ebn0_grid_db=(0.0, 1.0))
         assert scenario_hash(grid) != scenario_hash(
@@ -216,7 +222,6 @@ def any_config(draw):
         P=P, Q=Q, L=L, nu=draw(st.integers(L, max(L, P * Q // 2))),
         tau=draw(st.floats(0.2, 1.0)), beta=draw(st.floats(0.0, 1.0)),
         sia=draw(st.booleans()), ce_criterion=draw(st.sampled_from(["ls", "mmse"])),
-        eq_criterion=draw(st.sampled_from(["ls", "mmse"])),
         csi=draw(st.sampled_from(["estimated", "perfect"])), n_ista=draw(st.integers(0, 4)),
         sigma_s2=draw(st.sampled_from([1e-3, 1.0, 1e3])))
 
@@ -391,8 +396,9 @@ class TestSimulateCeMse:
 
 class TestRunSweep:
     def test_empty_grid(self):
-        table = run_sweep(replace(FtnConfig(), ebn0_grid_db=()))
-        assert table.rows == []
+        # an empty grid would yield a header-only result, so validate() rejects it
+        with pytest.raises(ConfigError, match="ebn0_grid_db is empty"):
+            run_sweep(replace(FtnConfig(), ebn0_grid_db=()))
 
     def test_bookkeeping_identity(self):
         cfg = replace(FtnConfig(), **FAST)
@@ -494,7 +500,7 @@ class TestEmitResults:
         cfg = replace(FtnConfig(), **FAST)
         path = emit_results(run_sweep(cfg), "json", str(tmp_path / "r"))[0]
         doc = json.load(open(path))
-        assert doc["config"] == as_dict(cfg)
+        assert doc["config"] == json.loads(json.dumps(asdict(cfg)))
         assert doc["rows"][0]["trials"] == 20
 
     def test_missing_directory_raises_with_path(self, tmp_path):
@@ -535,6 +541,12 @@ class TestCli:
         proc = run_cli("validate", "--config", str(sets_n))
         assert proc.returncode == 2
         assert "unknown config key 'N'" in proc.stderr
+        # the equalizer is always MMSE, so eq_criterion is no key
+        sets_eq = tmp_path / "sets_eq.cfg"
+        sets_eq.write_text("[receiver]\neq_criterion = mmse\n")
+        proc = run_cli("validate", "--config", str(sets_eq))
+        assert proc.returncode == 2
+        assert "unknown config key 'eq_criterion'" in proc.stderr
 
     def test_run_negative_seed_is_config_error(self, cfg_file, tmp_path):
         proc = run_cli("run", "--config", cfg_file, "--out", str(tmp_path),
@@ -630,6 +642,17 @@ class TestCli:
         for row in rows:
             assert row["mse_ls"] == ""
             assert np.isfinite(float(row["mse_mmse"]))
+
+    def test_mse_theory_alignment_off_leaves_columns_empty(self, cfg_file, tmp_path):
+        # the closed forms assume no data on the comb, which needs alignment
+        proc = run_cli("mse-theory", "--config", cfg_file, "--out", str(tmp_path),
+                       "--override", "sia=off", "--override", "ebn0_grid_db=4")
+        assert proc.returncode == 0
+        assert "alignment off" in proc.stderr
+        with open(tmp_path / "mse_theory.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["ebn0_db"], row["mse_ls"], row["mse_mmse"]) for row in rows] == [
+            ("4", "", "")]
 
     def test_missing_config_file(self, tmp_path):
         proc = run_cli("validate", "--config", str(tmp_path / "none.cfg"))
