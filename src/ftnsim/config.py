@@ -93,6 +93,12 @@ class FtnConfig:
             errs.append(f"seed={self.seed} negative")
         if self.min_trials < 1 or self.max_trials < self.min_trials:
             errs.append("need 1 <= min_trials <= max_trials")
+        # trial i of cell c draws from stream c * max_trials + i; past 2**32 the key's
+        # trailing zero word is dropped: stream 2**32 + t, sub 0 is stream t, sub 1
+        n_cells = len(self.taus()) * len(self.ebn0_grid_db)
+        if n_cells * self.max_trials > 2**32:
+            errs.append(f"{n_cells} cells * max_trials={self.max_trials} exceed the 2**32 "
+                        "RNG streams; a larger stream repeats the draws of a smaller one")
         if self.target_bit_errors < 1:
             errs.append("target_bit_errors must be >= 1")
         if errs:

@@ -22,6 +22,67 @@ import numpy as np
 
 # keys below this fit one SeedSequence word each
 _UINT32_END = 2**32
+# make_rng hashes the keys of this many consecutive streams in one pass
+_BLOCK = 256
+
+
+def _hash_steps(init, mult, n):
+    """(xor, multiply) constants of ``n`` successive SeedSequence hash steps."""
+    h = [np.uint32(init * mult**k % _UINT32_END) for k in range(n + 1)]
+    return list(zip(h[:-1], h[1:]))
+
+
+# numpy's SeedSequence (O'Neill's seed_seq_fe, pool size 4): 4 + 12 hashmix
+# steps in mix_entropy, then one per uint32 word of generate_state(4, uint64)
+_MIX_STEPS = _hash_steps(0x43B0D7E5, 0x931E8875, 16)
+_OUT_STEPS = _hash_steps(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hashmix(value, step):
+    value = (value ^ step[0]) * step[1]
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    r = x * _MIX_L - y * _MIX_R
+    return r ^ (r >> 16)
+
+
+@functools.lru_cache(maxsize=8)
+def _state_block(seed, block, substream):
+    """Read-only (_BLOCK, 4) uint64: row i is ``SeedSequence([seed, t, substream])
+    .generate_state(4, np.uint64)`` at stream t = block * _BLOCK + i, hashed on
+    uint32 arrays, which wrap silently where numpy scalars would warn."""
+    streams = np.arange(block * _BLOCK, (block + 1) * _BLOCK, dtype=np.uint32)
+    words = [np.full_like(streams, seed), streams, np.full_like(streams, substream),
+             np.zeros_like(streams)]
+    steps = iter(_MIX_STEPS)
+    pool = [_hashmix(w, next(steps)) for w in words]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(steps)))
+    out = [_hashmix(pool[i % 4], step) for i, step in enumerate(_OUT_STEPS)]
+    # registered on first use, as importing numpy.random costs ~7 ms of set-up
+    np.random.bit_generator.ISeedSequence.register(_HashedSeed)
+    # uint64 word j: uint32 words 2j (low) and 2j + 1 (high), numpy's little-endian view
+    lo, hi = np.array(out[0::2], dtype=np.uint64), np.array(out[1::2], dtype=np.uint64)
+    return read_only(np.ascontiguousarray((lo | hi << 32).T))
+
+
+class _HashedSeed:
+    """``ISeedSequence`` of one ``make_rng`` key: the state row ``SeedSequence(key)`` gives."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, state):
+        self._state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("only generate_state(4, np.uint64), PCG64's seeding, is precomputed")
+        return self._state
 
 
 def make_rng(seed, stream=0, substream=None):
@@ -32,18 +93,20 @@ def make_rng(seed, stream=0, substream=None):
     trial separate channel / data / noise draws so that, e.g., changing the
     data power does not perturb the noise realization.
 
-    The generator is the one ``np.random.default_rng(key)`` gives.  SeedSequence
-    turns each int in [0, 2**32) into exactly one uint32 word, so such keys
-    are passed as a uint32 array, which skips its per-int coercion; larger
-    keys (split into several words) and negative ones (rejected) go through
-    ``default_rng``.
+    The state is the one ``np.random.default_rng(key)`` gives.  For keys in
+    [0, 2**32) it comes from a memo that hashes 256 consecutive streams of one
+    (seed, substream) in one array pass; ``bit_generator.seed_seq`` is then no
+    ``SeedSequence``, so ``Generator.spawn`` is not available.  Other keys go
+    through ``default_rng``, which rejects negative ones.  SeedSequence treats
+    trailing zero words as absent, so ``make_rng(seed, stream)`` equals
+    ``make_rng(seed, stream, 0)``; the library never relies on that.
     """
-    key = [int(seed), int(stream)]
-    if substream is not None:
-        key.append(int(substream))
-    if min(key) >= 0 and max(key) < _UINT32_END:
-        return np.random.Generator(np.random.PCG64(np.array(key, dtype=np.uint32)))
-    return np.random.default_rng(key)
+    seed, stream = int(seed), int(stream)
+    sub = 0 if substream is None else int(substream)
+    if 0 <= seed < _UINT32_END and 0 <= stream < _UINT32_END and 0 <= sub < _UINT32_END:
+        row = _state_block(seed, stream // _BLOCK, sub)[stream % _BLOCK]
+        return np.random.Generator(np.random.PCG64(_HashedSeed(row)))
+    return np.random.default_rng([seed, stream] if substream is None else [seed, stream, sub])
 
 
 def dft(x):

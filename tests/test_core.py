@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ftnsim import core, harness
+from ftnsim.config import FtnConfig
 from ftnsim.core import (circulant_matvec, complex_gaussian, dft, dft_rows, idft, idft_cols,
                          make_rng)
 from oracles import NotPSDError, build_isi_toeplitz, circulant_dense, psd_factor
@@ -183,8 +187,9 @@ class TestComplexGaussian:
         assert not np.allclose(a, b)
 
 
-# the int boundaries of SeedSequence's uint32 words, and keys past them
-_KEYS = (0, 1, 2, 12345, 2**31, 2**32 - 1, 2**32, 2**40, 2**64 + 5)
+# the int boundaries of SeedSequence's uint32 words and of make_rng's
+# 256-stream memo blocks, and keys past them
+_KEYS = (0, 1, 2, 255, 256, 257, 12345, 2**31, 2**32 - 1, 2**32, 2**40, 2**64 + 5)
 
 
 class TestMakeRng:
@@ -200,6 +205,61 @@ class TestMakeRng:
     def test_negative_key_rejected(self, key):
         with pytest.raises(ValueError):
             make_rng(*key)
+
+
+class TestMakeRngMemo:
+    """make_rng hashes the keys of 256 consecutive streams per memo block."""
+
+    def test_call_order_does_not_matter(self):
+        core._state_block.cache_clear()
+        first = np.random.default_rng([3, 300, 1]).random(8)
+        assert np.array_equal(make_rng(3, 300, 1).random(8), first)
+        make_rng(3, 5, 1)
+        assert np.array_equal(make_rng(3, 300, 1).random(8), first)
+        core._state_block.cache_clear()
+        assert np.array_equal(make_rng(3, 300, 1).random(8), first)
+        maxsize = core._state_block.cache_info().maxsize
+        for seed in range(100, 100 + maxsize + 1):
+            make_rng(seed, 300, 1)
+        misses = core._state_block.cache_info().misses
+        assert np.array_equal(make_rng(3, 300, 1).random(8), first)
+        assert core._state_block.cache_info().misses == misses + 1
+
+    def test_same_key_gives_independent_generators(self):
+        a, b = make_rng(9, 42, 2), make_rng(9, 42, 2)
+        assert a is not b and a.bit_generator is not b.bit_generator
+        first = a.standard_normal(16)
+        assert np.array_equal(b.standard_normal(16), first)
+        assert np.array_equal(a.standard_normal(16), make_rng(9, 42, 2).standard_normal(32)[16:])
+        assert not core._state_block(9, 0, 2).flags.writeable
+        # the seed sequence only holds PCG64's seeding state: no spawning
+        with pytest.raises(TypeError):
+            a.spawn(1)
+        with pytest.raises(ValueError):
+            a.bit_generator.seed_seq.generate_state(8)
+
+    def test_sweep_csv_same_with_cold_and_warm_memo(self, tmp_path, monkeypatch):
+        cfg = replace(FtnConfig(), min_trials=20, max_trials=20, target_bit_errors=10**9,
+                      ebn0_grid_db=(4.0, 8.0))
+        core._state_block.cache_clear()
+        cold = harness.emit_results(harness.run_sweep(cfg), "csv", str(tmp_path / "cold"))[0]
+        hits = core._state_block.cache_info().hits
+        warm = harness.emit_results(harness.run_sweep(cfg), "csv", str(tmp_path / "warm"))[0]
+        assert core._state_block.cache_info().hits > hits
+        monkeypatch.setattr(harness, "make_rng", lambda seed, stream, sub:
+                            np.random.default_rng([seed, stream, sub]))
+        plain = harness.emit_results(harness.run_sweep(cfg), "csv", str(tmp_path / "plain"))[0]
+        assert open(cold, "rb").read() == open(warm, "rb").read() == open(plain, "rb").read()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
+       st.none() | st.integers(0, 2**32 - 1))
+def test_make_rng_same_as_default_rng_property(seed, stream, sub):
+    key = [seed, stream] if sub is None else [seed, stream, sub]
+    want, got = np.random.default_rng(key), make_rng(seed, stream, sub)
+    assert got.bit_generator.state == want.bit_generator.state
+    assert np.array_equal(got.random(4), want.random(4))
 
 
 @settings(max_examples=30, deadline=None)

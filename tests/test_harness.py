@@ -46,9 +46,12 @@ class TestConfig:
         for bad in (dict(L=0), dict(L=-1), dict(L=0, nu=0), dict(sigma_s2=0.0),
                     dict(sigma_s2=math.inf), dict(sigma_s2=math.nan),
                     dict(ebn0_grid_db=(0.0, math.nan)), dict(ebn0_grid_db=(math.inf,)),
-                    dict(ebn0_grid_db=(-math.inf, 4.0)), dict(ebn0_grid_db=())):
+                    dict(ebn0_grid_db=(-math.inf, 4.0)), dict(ebn0_grid_db=()),
+                    dict(max_trials=2**32 // 6 + 1)):
             with pytest.raises(ConfigError):
                 replace(FtnConfig(), **bad).validate()
+        # the default grid's 6 cells key streams up to 6 max_trials - 1 < 2**32
+        replace(FtnConfig(), max_trials=2**32 // 6).validate()
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "scenario.cfg"
