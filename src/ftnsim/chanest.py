@@ -135,19 +135,18 @@ def theoretical_mse_mmse(tables: CombTables, L: int, sigma_v2: float,
                          sigma_h2: float | None = None) -> float:
     """Closed-form tap MSE of the MMSE comb estimator (alignment active).
 
-    Evaluates (L/P^2) Tr{R_d - 2 Re(W Gamma R_d) + W (Gamma R_d Gamma^H
-    + sigma_v2 Phi') W^H} at the diagonal MMSE weights, with the prior
-    R_d = sigma_h2 * P * I.  Exact for L = P; for L < P the white prior
-    is an approximation.  A bin in an exact spectral null has weight 0 and
-    so counts at its prior error r.  ``sigma_h2`` defaults to the per-tap
-    power ``tap_power(L)``.
+    Evaluates (L/P^2) Tr{(I - W Gamma) R_d (I - W Gamma)^H + sigma_v2 W Phi'
+    W^H} at the diagonal MMSE weights, with the prior R_d = sigma_h2 * P * I.
+    Exact for L = P; for L < P the white prior is an approximation.  The
+    factored bias term does not cancel as W Gamma -> I at high SNR, as its
+    expansion would.  A bin in an exact spectral null has weight 0 and so
+    counts at its prior error r.  ``sigma_h2`` defaults to the per-tap power
+    ``tap_power(L)``.
     """
     if sigma_h2 is None:
         sigma_h2 = tap_power(L)
     p = tables.P
     r = sigma_h2 * p
     w = mmse_weights(tables, sigma_v2, sigma_h2)
-    g = tables.gamma
-    per_bin = (r * (1.0 - 2.0 * np.real(w * g))
-               + np.abs(w) ** 2 * (np.abs(g) ** 2 * r + sigma_v2 * tables.phi_prime))
+    per_bin = r * np.abs(1.0 - w * tables.gamma) ** 2 + np.abs(w) ** 2 * sigma_v2 * tables.phi_prime
     return float(L / p**2 * np.sum(per_bin))

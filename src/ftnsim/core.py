@@ -55,8 +55,11 @@ def _state_block(seed, block, substream):
     .generate_state(4, np.uint64)`` at stream t = block * _BLOCK + i, hashed on
     uint32 arrays, which wrap silently where numpy scalars would warn."""
     streams = np.arange(block * _BLOCK, (block + 1) * _BLOCK, dtype=np.uint32)
-    words = [np.full_like(streams, seed), streams, np.full_like(streams, substream),
-             np.zeros_like(streams)]
+    # SeedSequence splits a seed >= 2**32 into its uint32 words, low first,
+    # and hashes a zero pool word after a 3-word key
+    key = [seed] if seed < _UINT32_END else [seed % _UINT32_END, seed >> 32]
+    words = [np.full_like(streams, w) for w in key] + [streams, np.full_like(streams, substream)]
+    words += [np.zeros_like(streams)] * (4 - len(words))
     steps = iter(_MIX_STEPS)
     pool = [_hashmix(w, next(steps)) for w in words]
     for src in range(4):
@@ -93,17 +96,23 @@ def make_rng(seed, stream=0, substream=None):
     trial separate channel / data / noise draws so that, e.g., changing the
     data power does not perturb the noise realization.
 
-    The state is the one ``np.random.default_rng(key)`` gives.  For keys in
-    [0, 2**32) it comes from a memo that hashes 256 consecutive streams of one
-    (seed, substream) in one array pass; ``bit_generator.seed_seq`` is then no
-    ``SeedSequence``, so ``Generator.spawn`` is not available.  Other keys go
+    The state is the one ``np.random.default_rng(key)`` gives.  For a seed in
+    [0, 2**64) and stream and substream in [0, 2**32) it comes from a memo that
+    hashes 256 consecutive streams of one (seed, substream) in one array pass;
+    ``bit_generator.seed_seq`` is then no ``SeedSequence``, so ``Generator.spawn``
+    is not available.  Stream 256 k, the first of a block, and other keys go
     through ``default_rng``, which rejects negative ones.  SeedSequence treats
     trailing zero words as absent, so ``make_rng(seed, stream)`` equals
-    ``make_rng(seed, stream, 0)``; the library never relies on that.
+    ``make_rng(seed, stream, 0)``; the library never relies on that.  It splits
+    a seed >= 2**32 into its words, so ``make_rng(lo + 2**32 hi, t, 0)`` draws
+    as ``make_rng(lo, hi, t)``: runs at those two seeds share some draws and are
+    not fully independent, while each run on its own is unaffected.
     """
     seed, stream = int(seed), int(stream)
     sub = 0 if substream is None else int(substream)
-    if 0 <= seed < _UINT32_END and 0 <= stream < _UINT32_END and 0 <= sub < _UINT32_END:
+    # stream 256 k, often a key's only one, is not worth a 256-stream block hash
+    if (0 <= seed < 2**64 and 0 < stream < _UINT32_END and stream % _BLOCK
+            and 0 <= sub < _UINT32_END):
         row = _state_block(seed, stream // _BLOCK, sub)[stream % _BLOCK]
         return np.random.Generator(np.random.PCG64(_HashedSeed(row)))
     return np.random.default_rng([seed, stream] if substream is None else [seed, stream, sub])

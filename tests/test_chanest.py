@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from ftnsim import chanest
 from ftnsim.chanest import (IllConditionedCombError, build_comb_tables, ce_ls,
                             ce_mmse, estimate_channel, extract_comb, fd_to_td,
                             mmse_weights, theoretical_mse_ls, theoretical_mse_mmse)
-from ftnsim.channel import colored_noise, sample_channel, transmit_fast
+from ftnsim.channel import colored_noise, sample_channel, tap_power, transmit_fast
 from ftnsim.config import FtnConfig
 from ftnsim.core import dft, make_rng
 from ftnsim.harness import build_cell, build_scenario, ebn0_to_sigma_v2, simulate_ce_mse
@@ -190,6 +192,25 @@ class TestTheoreticalMse:
 
     def test_mmse_zero_noise(self, scenario):
         assert theoretical_mse_mmse(scenario.tables, 8, 0.0) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("ebn0", [120.0, 140.0])
+    def test_mmse_exact_at_high_snr(self, scenario, ebn0):
+        # the same formula on the same float inputs, evaluated in exact rationals;
+        # its expansion r (1 - 2 Re(w g)) + |w g|^2 r cancelled to 2.6e-3 and 18% here
+        L = scenario.cfg.L
+        sv2 = ebn0_to_sigma_v2(scenario.cfg, ebn0)
+        tables = scenario.tables
+        r = Fraction(tap_power(L) * tables.P)
+        exact = Fraction(0)
+        for w, g, phi in zip(mmse_weights(tables, sv2, tap_power(L)), tables.gamma,
+                             tables.phi_prime):
+            wr, wi, gr, gi = map(Fraction, (w.real, w.imag, g.real, g.imag))
+            bias_re, bias_im = 1 - (wr * gr - wi * gi), wr * gi + wi * gr
+            exact += (r * (bias_re**2 + bias_im**2)
+                      + (wr**2 + wi**2) * Fraction(sv2) * Fraction(float(phi)))
+        exact *= Fraction(L, tables.P**2)
+        got = theoretical_mse_mmse(tables, L, sv2)
+        assert abs(Fraction(got) - exact) <= 1e-14 * exact
 
     def test_mmse_below_ls_on_grid(self, scenario):
         cfg = FtnConfig()

@@ -189,7 +189,8 @@ class TestComplexGaussian:
 
 # the int boundaries of SeedSequence's uint32 words and of make_rng's
 # 256-stream memo blocks, and keys past them
-_KEYS = (0, 1, 2, 255, 256, 257, 12345, 2**31, 2**32 - 1, 2**32, 2**40, 2**64 + 5)
+_KEYS = (0, 1, 2, 255, 256, 257, 12345, 2**31, 2**32 - 1, 2**32, 2**32 + 7, 2**40, 2**64 - 1,
+         2**64 + 5)
 
 
 class TestMakeRng:
@@ -239,21 +240,49 @@ class TestMakeRngMemo:
             a.bit_generator.seed_seq.generate_state(8)
 
     def test_sweep_csv_same_with_cold_and_warm_memo(self, tmp_path, monkeypatch):
-        cfg = replace(FtnConfig(), min_trials=20, max_trials=20, target_bit_errors=10**9,
-                      ebn0_grid_db=(4.0, 8.0))
+        def csv_bytes(cfg, name):
+            path = harness.emit_results(harness.run_sweep(cfg), "csv", str(tmp_path / name))[0]
+            return open(path, "rb").read()
+
+        for seed in (FtnConfig().seed, 2**32 + 7):
+            cfg = replace(FtnConfig(), min_trials=20, max_trials=20, target_bit_errors=10**9,
+                          ebn0_grid_db=(4.0, 8.0), seed=seed)
+            core._state_block.cache_clear()
+            cold = csv_bytes(cfg, f"cold-{seed}")
+            hits = core._state_block.cache_info().hits
+            warm = csv_bytes(cfg, f"warm-{seed}")
+            assert core._state_block.cache_info().hits > hits
+            with monkeypatch.context() as m:
+                m.setattr(harness, "make_rng", lambda seed, stream, sub:
+                          np.random.default_rng([seed, stream, sub]))
+                plain = csv_bytes(cfg, f"plain-{seed}")
+            assert cold == warm == plain
+
+    @pytest.mark.parametrize("seed", [12345, 2**32 + 7, 2**64 - 1])
+    def test_block_hashed_from_second_stream_on(self, seed):
+        # stream 256 k goes through default_rng; the memo serves the rest of
+        # its block, at seeds >= 2**32 too
         core._state_block.cache_clear()
-        cold = harness.emit_results(harness.run_sweep(cfg), "csv", str(tmp_path / "cold"))[0]
-        hits = core._state_block.cache_info().hits
-        warm = harness.emit_results(harness.run_sweep(cfg), "csv", str(tmp_path / "warm"))[0]
-        assert core._state_block.cache_info().hits > hits
-        monkeypatch.setattr(harness, "make_rng", lambda seed, stream, sub:
-                            np.random.default_rng([seed, stream, sub]))
-        plain = harness.emit_results(harness.run_sweep(cfg), "csv", str(tmp_path / "plain"))[0]
-        assert open(cold, "rb").read() == open(warm, "rb").read() == open(plain, "rb").read()
+        make_rng(seed, 256, 1)
+        assert core._state_block.cache_info().misses == 0
+        make_rng(seed, 1, 1)
+        assert core._state_block.cache_info().misses == 1
+        make_rng(seed, 255, 1)
+        make_rng(seed, 257, 1)
+        assert core._state_block.cache_info().misses == 2
+
+    def test_one_chunk_ce_mse_hashes_no_block(self):
+        # simulate_ce_mse keys only stream 0 when one chunk covers its trials
+        cfg = FtnConfig()
+        sv2 = harness.ebn0_to_sigma_v2(cfg, 8.0)
+        for seed in (4321, 2**32 + 4321):
+            misses = core._state_block.cache_info().misses
+            harness.simulate_ce_mse(cfg, cfg.tau, sv2, 100, seed=seed)
+            assert core._state_block.cache_info().misses == misses
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
+@given(st.integers(0, 2**32 - 1) | st.integers(2**32, 2**64 - 1), st.integers(0, 2**32 - 1),
        st.none() | st.integers(0, 2**32 - 1))
 def test_make_rng_same_as_default_rng_property(seed, stream, sub):
     key = [seed, stream] if sub is None else [seed, stream, sub]
