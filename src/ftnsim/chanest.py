@@ -14,6 +14,7 @@ noise covariance is exactly diagonal).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,8 +90,9 @@ def mmse_weights(tables: CombTables, sigma_v2: float, sigma_h2: float) -> np.nda
     regularizer sigma_v2 / (sigma_h2 * P); note the published simplified
     form drops the P.
     """
-    if sigma_v2 < 0 or sigma_h2 <= 0:
-        raise ValueError("need sigma_v2 >= 0 and sigma_h2 > 0")
+    # the comparisons are False for NaN, so it is rejected too
+    if not (0.0 <= sigma_v2 < math.inf and sigma_h2 > 0):
+        raise ValueError(f"need 0 <= sigma_v2 < inf and sigma_h2 > 0, got {sigma_v2}, {sigma_h2}")
     rho = sigma_v2 / (sigma_h2 * tables.P)
     return wiener_weights(tables.gamma, rho, tables.phi_prime)
 

@@ -62,12 +62,14 @@ def colored_noise(sqrt_lambda_g, sigma_v2: float, rng,
     ``sqrt(phi_diag(lambda_g))``, a scenario's ``noise_factor``; optional
     leading trials axis.
     """
-    if sigma_v2 < 0:
-        raise ValueError("sigma_v2 must be non-negative")
+    # the comparisons are False for NaN, so it is rejected too
+    if not 0.0 <= sigma_v2 < math.inf:
+        raise ValueError(f"need 0 <= sigma_v2 < inf, got {sigma_v2}")
     n = len(sqrt_lambda_g)
     shape = (n,) if trials is None else (trials, n)
+    # w is private to this call, so it is transformed in place
     w = complex_gaussian(shape, 1.0, rng)
-    eta_fd = np.fft.fft(w, axis=-1)
+    eta_fd = np.fft.fft(w, axis=-1, out=w)
     eta_fd *= math.sqrt(sigma_v2 / n) * sqrt_lambda_g
     return eta_fd
 

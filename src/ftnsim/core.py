@@ -83,7 +83,8 @@ class _HashedSeed:
         self._state = state
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
+        # the identity test spares PCG64's own call an np.dtype construction
+        if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
             raise ValueError("only generate_state(4, np.uint64), PCG64's seeding, is precomputed")
         return self._state
 
@@ -100,8 +101,9 @@ def make_rng(seed, stream=0, substream=None):
     [0, 2**64) and stream and substream in [0, 2**32) it comes from a memo that
     hashes 256 consecutive streams of one (seed, substream) in one array pass;
     ``bit_generator.seed_seq`` is then no ``SeedSequence``, so ``Generator.spawn``
-    is not available.  Stream 256 k, the first of a block, and other keys go
-    through ``default_rng``, which rejects negative ones.  SeedSequence treats
+    raises TypeError.  Stream 256 k, the first of a block, and other keys go
+    through ``default_rng``, which rejects negative ones; those generators can
+    spawn.  The library never spawns.  SeedSequence treats
     trailing zero words as absent, so ``make_rng(seed, stream)`` equals
     ``make_rng(seed, stream, 0)``; the library never relies on that.  It splits
     a seed >= 2**32 into its words, so ``make_rng(lo + 2**32 hi, t, 0)`` draws
@@ -121,17 +123,18 @@ def make_rng(seed, stream=0, substream=None):
 def dft(x):
     """Unitary DFT of a vector (or of each row of a 2-d array)."""
     x = np.asarray(x)
-    n = x.shape[-1]
-    out = np.fft.fft(x, axis=-1)
-    out /= math.sqrt(n)
+    # an ``out`` array skips np.fft's slower allocation path; same values
+    out = np.fft.fft(x, axis=-1, out=np.empty(x.shape, complex))
+    out /= math.sqrt(x.shape[-1])
     return out
 
 
 def idft(x):
     """Exact inverse of :func:`dft`."""
     x = np.asarray(x)
-    n = x.shape[-1]
-    return np.fft.ifft(x, axis=-1) * math.sqrt(n)
+    out = np.fft.ifft(x, axis=-1, out=np.empty(x.shape, complex))
+    out *= math.sqrt(x.shape[-1])
+    return out
 
 
 def read_only(a: np.ndarray) -> np.ndarray:
@@ -189,12 +192,15 @@ def complex_gaussian(shape, variance, rng):
     """Circularly symmetric complex Gaussian array, per-entry variance ``variance``.
 
     Real and imaginary parts each carry variance/2.  ``shape`` is an int for
-    a vector, or a tuple, e.g. (trials, n) for batched draws.
+    a vector, or a tuple, e.g. (trials, n) for batched draws.  One draw
+    fills the real parts, then the imaginary parts.
     """
-    if variance < 0:
-        raise ValueError("variance must be non-negative")
+    # the comparisons are False for NaN, so it is rejected too
+    if not 0.0 <= variance < math.inf:
+        raise ValueError(f"need 0 <= variance < inf, got {variance}")
     z = np.empty(shape, dtype=complex)
-    z.real = rng.standard_normal(shape)
-    z.imag = rng.standard_normal(shape)
-    z *= np.sqrt(variance / 2.0)
+    g = rng.standard_normal((2, *z.shape))
+    z.real = g[0]
+    z.imag = g[1]
+    z *= math.sqrt(variance / 2.0)
     return z

@@ -10,16 +10,23 @@ onto the QPSK alphabet, the only modulation the config accepts.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from .core import idft, wiener_weights
+from .core import idft, read_only, wiener_weights
 from .pilot import apply_projector
 
 
 # unit QPSK points in Gray label order 2 b0 + b1: b0 sets the I sign, b1 the Q sign
 _GRAY = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
+
+
+@functools.lru_cache(maxsize=8)
+def _gray_points(sigma_s2: float) -> np.ndarray:
+    """Read-only Gray points of power sigma_s2; a sweep uses one, so it is cached."""
+    return read_only(np.sqrt(sigma_s2 / 2.0) * _GRAY)
 
 
 def map_bits(bits, sigma_s2: float):
@@ -28,7 +35,7 @@ def map_bits(bits, sigma_s2: float):
     One gather from the four scaled Gray points per 2-bit label.
     """
     pairs = np.asarray(bits).reshape(-1, 2)
-    return (np.sqrt(sigma_s2 / 2.0) * _GRAY)[2 * pairs[:, 0] + pairs[:, 1]]
+    return _gray_points(sigma_s2)[2 * pairs[:, 0] + pairs[:, 1]]
 
 
 def demap_bits(symbols):

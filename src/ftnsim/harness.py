@@ -98,6 +98,15 @@ def build_cell(scenario: Scenario, sigma_v2: float, cell_index: int = 0) -> Cell
     return Cell(scenario, sigma_v2, cell_index * cfg.max_trials, mmse_w)
 
 
+def _qpsk_bits(rng, n_symbols: int) -> np.ndarray:
+    """``rng.integers(0, 2, 2 * n_symbols)`` of a fresh PCG64 ``rng``, as uint32.
+
+    At range 2 Lemire's method keeps the top bit of each 32-bit draw, and
+    PCG64 splits a word low half first, as numpy's little-endian view does.
+    """
+    return rng.bit_generator.random_raw(n_symbols).view(np.uint32) >> 31
+
+
 @dataclass
 class TrialResult:
     bit_errors: int
@@ -115,7 +124,7 @@ def run_trial(cell: Cell, trial_index: int) -> TrialResult:
     rng_noise = make_rng(cfg.seed, stream, _SUB_NOISE)
 
     h, lambda_h = sample_channel(cfg.L, cfg.N, rng_ch)
-    bits = rng_data.integers(0, 2, cfg.N * _BITS_PER_SYMBOL)
+    bits = _qpsk_bits(rng_data, cfg.N)
     s = detector.map_bits(bits, cfg.sigma_s2)
     x = pilot.compose_tx(s, scenario.x_p, cfg.Q, cfg.sia)
 

@@ -62,12 +62,6 @@ def apply_projector(v, Q: int):
 def compose_tx(s, x_p, Q: int, sia: bool):
     """Transmit block: (I - J) s + x_p with alignment on, s + x_p otherwise.
 
-    With alignment on the pilot is added in place to the projected data, so
-    no third block is allocated; real data is promoted to the pilot's dtype.
+    One add forms the block; it promotes real data to the pilot's dtype.
     """
-    s = np.asarray(s)
-    if not sia:
-        return s + np.asarray(x_p)
-    x = apply_projector(s, Q).astype(np.result_type(s, x_p), copy=False)
-    x += x_p
-    return x
+    return (apply_projector(s, Q) if sia else np.asarray(s)) + x_p

@@ -9,10 +9,11 @@ checked against an independent construction.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
-from ftnsim import chanest, harness, pilot
+from ftnsim import chanest, detector, harness, pilot
 from ftnsim.channel import colored_noise
 from ftnsim.core import circulant_matvec, complex_gaussian, dft, dft_rows, make_rng
 from ftnsim.pilot import _segment_mean, apply_projector
@@ -230,3 +231,71 @@ def ce_mse_reference(cfg, tau: float, sigma_v2: float, n_trials: int,
         e = np.concatenate(errs[crit])
         out[crit] = (float(e.mean()), float(e.std() / math.sqrt(n_trials)))
     return out
+
+
+def _complex_gaussian_two_draws(shape, variance, rng):
+    """CN(0, variance) entries from a real draw, then an imaginary draw, each of ``shape``."""
+    z = np.empty(shape, dtype=complex)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
+    z *= np.sqrt(variance / 2.0)
+    return z
+
+
+def reference_trial(cell, trial_index: int):
+    """``harness.run_trial``'s chain as first written, with its original numpy calls.
+
+    The bits come from ``integers(0, 2, 2 N)``; each complex Gaussian from two
+    ``standard_normal`` draws; the pilot is added to a promoted copy of the
+    projected data; and the FFTs allocate their own outputs.  The channel
+    estimator, FDE weights, comb zeroing and detector are the library's.
+
+    Returns a namespace with the trial's ``bit_errors``, ``sq_err`` and
+    ``tx_power``, and the intermediates ``s`` (data symbols), ``u``
+    (equalizer output), ``w`` (FDE weights) and ``lambda_h`` (true channel
+    response).
+    """
+    scenario, sigma_v2 = cell.scenario, cell.sigma_v2
+    cfg = scenario.cfg
+    n, stream = cfg.N, cell.first_stream + trial_index
+    rng_ch, rng_data, rng_noise = (make_rng(cfg.seed, stream, sub)
+                                   for sub in (harness._SUB_CHANNEL, harness._SUB_DATA,
+                                               harness._SUB_NOISE))
+
+    h = _complex_gaussian_two_draws(cfg.L, 1.0 / cfg.L, rng_ch)
+    h /= math.sqrt(h.real.dot(h.real) + h.imag.dot(h.imag))
+    lambda_h = h @ dft_rows(cfg.L, n)
+    bits = rng_data.integers(0, 2, 2 * n)
+    pairs = bits.reshape(-1, 2)
+    gray = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
+    s = (np.sqrt(cfg.sigma_s2 / 2.0) * gray)[2 * pairs[:, 0] + pairs[:, 1]]
+    if cfg.sia:
+        x = apply_projector(s, cfg.Q).astype(np.result_type(s, scenario.x_p), copy=False)
+        x += scenario.x_p
+    else:
+        x = s + scenario.x_p
+
+    eta = np.fft.fft(_complex_gaussian_two_draws(n, 1.0, rng_noise), axis=-1)
+    eta *= math.sqrt(sigma_v2 / n) * scenario.noise_factor
+    x_tilde = np.fft.fft(x, axis=-1)
+    x_tilde /= math.sqrt(n)
+    y_tilde = scenario.lambda_g * lambda_h * x_tilde + eta
+
+    if cfg.csi == "perfect":
+        lambda_eq, sq_err = lambda_h, 0.0
+    else:
+        h_hat, lambda_eq = chanest.estimate_channel(y_tilde, scenario.tables, cfg.L, cell.mmse_w)
+        sq_err = float(np.add.reduce(np.abs(h - h_hat) ** 2))
+    w = detector.fde_weights(lambda_eq, scenario.lambda_g, scenario.phi_diag,
+                             sigma_v2 / cfg.sigma_s2)
+    z_tilde = detector.zero_pilot_bins(y_tilde, cfg.Q)
+    u = np.fft.ifft(w * z_tilde, axis=-1) * math.sqrt(n)
+    if cfg.sia:
+        _, bits_hat = detector.ista_detect(u, cfg.Q, cfg.sigma_s2, cfg.n_ista)
+    else:
+        bits_hat = detector.demap_bits(detector.project_nearest(u, cfg.sigma_s2))
+
+    power = np.abs(x) ** 2
+    return SimpleNamespace(bit_errors=int(np.count_nonzero(bits != bits_hat)), sq_err=sq_err,
+                           tx_power=float(np.add.reduce(power) / power.size),
+                           s=s, u=u, w=w, lambda_h=lambda_h)

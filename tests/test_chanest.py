@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -89,6 +90,12 @@ class TestLs:
 
 
 class TestMmse:
+    @pytest.mark.parametrize("sigma_v2", [math.nan, math.inf, -1.0])
+    def test_nan_infinite_or_negative_noise_rejected(self, scenario, sigma_v2):
+        # NaN or inf would turn the weights NaN on every bin, or where phi' = 0
+        with pytest.raises(ValueError, match="0 <= sigma_v2 < inf"):
+            mmse_weights(scenario.tables, sigma_v2, 1 / 8)
+
     def test_default_prior_is_per_tap_power(self, scenario):
         # a sweep cell's MMSE weights use the prior 1/L, as theoretical_mse_mmse
         # does; an LS cell carries none and estimate_channel then runs LS

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,14 @@ class TestColoredNoise:
     def test_negative_variance_rejected(self, small_lambda_g):
         with pytest.raises(ValueError):
             colored_noise(np.sqrt(phi_diag(small_lambda_g)), -1.0, make_rng(0))
+
+    @pytest.mark.parametrize("sigma_v2", [math.nan, math.inf, -1.0])
+    def test_nan_infinite_or_negative_variance_rejected(self, small_lambda_g, sigma_v2):
+        # NaN noise would reach the slicer, which maps it to +a without an error;
+        # an all-zero noise factor times inf would be NaN too
+        for factor in (np.sqrt(phi_diag(small_lambda_g)), np.zeros(len(small_lambda_g))):
+            with pytest.raises(ValueError, match="0 <= sigma_v2 < inf"):
+                colored_noise(factor, sigma_v2, make_rng(0))
 
     def test_spectrum_of_time_domain_noise(self, default_lambda_g):
         b = np.sqrt(phi_diag(default_lambda_g))

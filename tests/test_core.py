@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -168,6 +169,11 @@ class TestComplexGaussian:
         with pytest.raises(ValueError):
             complex_gaussian(4, -1.0, make_rng(1))
 
+    @pytest.mark.parametrize("variance", [math.nan, math.inf, -1.0])
+    def test_nan_infinite_or_negative_variance_rejected(self, variance):
+        with pytest.raises(ValueError, match="0 <= variance < inf"):
+            complex_gaussian(4, variance, make_rng(1))
+
     def test_bits_match_two_draw_sum(self):
         # the real draw, then the imaginary draw, each scaled by sqrt(variance/2)
         for shape in [16, (3, 16)]:
@@ -225,6 +231,15 @@ class TestMakeRngMemo:
         misses = core._state_block.cache_info().misses
         assert np.array_equal(make_rng(3, 300, 1).random(8), first)
         assert core._state_block.cache_info().misses == misses + 1
+
+    def test_spawn_only_off_the_memo(self):
+        # spawn needs a SeedSequence: default_rng's generators at stream 256 k
+        # and outside the memo's key range have one, memo generators do not
+        for key in [(7, 0, 1), (7, 256, 1), (2**64, 5, 1), (7, 2**32 + 1, 1), (7, 5, 2**32)]:
+            child, = make_rng(*key).spawn(1)
+            assert isinstance(child, np.random.Generator)
+        with pytest.raises(TypeError):
+            make_rng(7, 257, 1).spawn(1)
 
     def test_same_key_gives_independent_generators(self):
         a, b = make_rng(9, 42, 2), make_rng(9, 42, 2)

@@ -19,7 +19,8 @@ from ftnsim.core import make_rng
 from ftnsim.harness import (build_cell, build_scenario, ebn0_to_sigma_v2,
                             emit_results, run_sweep, run_trial, simulate_ce_mse,
                             spectral_efficiency)
-from oracles import ce_mse_reference, qpsk_block_from_words
+from ftnsim.pilot import apply_projector
+from oracles import ce_mse_reference, qpsk_block_from_words, reference_trial
 
 FAST = dict(min_trials=20, max_trials=20, target_bit_errors=10**9,
             ebn0_grid_db=(8.0,))
@@ -168,6 +169,12 @@ class TestRunTrial:
         with pytest.raises(ValueError):
             run_trial(build_cell(build_scenario(FtnConfig()), -1.0), 0)
 
+    @pytest.mark.parametrize("sigma_v2", [math.nan, math.inf])
+    def test_nan_or_infinite_noise_variance_rejected(self, sigma_v2):
+        for cfg in (FtnConfig(), replace(FtnConfig(), csi="perfect")):
+            with pytest.raises(ValueError, match="0 <= sigma_v2 < inf"):
+                run_trial(build_cell(build_scenario(cfg), sigma_v2), 0)
+
     def test_null_comb_bin_gives_finite_estimate(self):
         scenario = build_scenario(replace(FtnConfig(), tau=0.5, beta=1.0))
         res = run_trial(build_cell(scenario, 0.1), 0)
@@ -214,6 +221,68 @@ class TestRunTrial:
         e_est = sum(run_trial(est, i).bit_errors for i in range(n))
         e_per = sum(run_trial(per, i).bit_errors for i in range(n))
         assert e_per <= e_est
+
+
+_CHAIN_CONFIGS = {"default": {}, "ls": {"ce_criterion": "ls"}, "perfect": {"csi": "perfect"},
+                  "sia_off": {"sia": False}, "tau_0.9": {"tau": 0.9}}
+
+
+class TestTrialChain:
+    """run_trial against ``reference_trial``, its chain with the original numpy calls."""
+
+    @pytest.mark.parametrize("name", _CHAIN_CONFIGS)
+    def test_results_bit_identical_to_reference(self, name):
+        # trials 230-289 of cell 0 take stream 256 from default_rng and the
+        # rest from the make_rng memo
+        for seed in (12345, 2**32 + 7):
+            cfg = replace(FtnConfig(), seed=seed, **_CHAIN_CONFIGS[name])
+            scenario = build_scenario(cfg)
+            for cell_index, ebn0 in enumerate((0.0, 8.0, 16.0)):
+                cell = build_cell(scenario, ebn0_to_sigma_v2(cfg, ebn0), cell_index)
+                for i in range(230, 290):
+                    got, want = run_trial(cell, i), reference_trial(cell, i)
+                    assert ((got.bit_errors, got.sq_err, got.tx_power)
+                            == (want.bit_errors, want.sq_err, want.tx_power)), (seed, ebn0, i)
+
+    @pytest.mark.parametrize("name", ["default", "perfect", "ls", "tau_0.9"])
+    def test_post_fde_mse_matches_conditional_mean(self, name):
+        # With alignment on, u - Psi s has the spectrum (w g - 1) s~ + w eta~
+        # off the comb and 0 on it, g = lambda_h lambda_g with the true
+        # channel.  The estimate reads only the comb noise, independent of the
+        # off-comb data and noise, so given the channel and w its mean is
+        # sum_{k off the comb} |w_k g_k - 1|^2 sigma_s2 + |w_k|^2 sigma_v2 phi_k,
+        # for any weights w.  Bound, fixed in advance: 4.5 standard errors of
+        # the paired per-trial difference, the benchmark's MSE gate.
+        cfg = replace(FtnConfig(), seed=4242, **_CHAIN_CONFIGS[name])
+        scenario = build_scenario(cfg)
+        off = np.ones(cfg.N, bool)
+        off[::cfg.Q] = False
+        n = 400
+        for cell_index, ebn0 in enumerate((0.0, 8.0, 16.0)):
+            cell = build_cell(scenario, ebn0_to_sigma_v2(cfg, ebn0), cell_index)
+            diff = np.empty(n)
+            for i in range(n):
+                t = reference_trial(cell, i)
+                sim = np.sum(np.abs(t.u - apply_projector(t.s, cfg.Q)) ** 2)
+                w, g = t.w[off], (t.lambda_h * scenario.lambda_g)[off]
+                cond = np.sum(np.abs(w * g - 1.0) ** 2 * cfg.sigma_s2
+                              + np.abs(w) ** 2 * cell.sigma_v2 * scenario.phi_diag[off])
+                diff[i] = sim - cond
+            z = diff.mean() / (diff.std(ddof=1) / math.sqrt(n))
+            assert abs(z) < 4.5, (ebn0, z)
+
+
+# stream 256 k goes through default_rng, stream 256 k + 1 through the make_rng memo
+_STREAMS = (st.builds(lambda k, r: 256 * k + r, st.integers(0, 2**24 - 1), st.sampled_from([0, 1]))
+            | st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1) | st.integers(2**32, 2**64 - 1), _STREAMS, st.integers(1, 300))
+def test_qpsk_bits_same_as_integers_property(seed, stream, n_symbols):
+    got = harness._qpsk_bits(make_rng(seed, stream, harness._SUB_DATA), n_symbols)
+    want = make_rng(seed, stream, harness._SUB_DATA).integers(0, 2, 2 * n_symbols)
+    assert np.array_equal(got, want)
 
 
 @st.composite
