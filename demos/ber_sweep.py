@@ -30,7 +30,7 @@ def main():
     n_trials = int(sys.argv[1]) if len(sys.argv) > 1 else 500
     base = FtnConfig(se_convention="paper_all_n")
     configs = [
-        ("perfect CSI", replace(base, csi="perfect")),
+        ("perfect CSI", replace(base, ce_criterion="perfect")),
         ("aligned + MMSE CE", base),
         ("superimposed, no alignment", replace(base, sia=False,
                                                ce_criterion="ls")),

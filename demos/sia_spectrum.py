@@ -31,7 +31,7 @@ def main():
     comb = np.zeros(cfg.N, bool)
     comb[:: cfg.Q] = True
 
-    s = map_bits(rng.integers(0, 2, cfg.N * 2), cfg.sigma_s2)
+    s = map_bits(rng.integers(0, 2, cfg.N * 2))
     print(f"N = {cfg.N}, pilot comb = every {cfg.Q}-th bin ({cfg.P} bins)\n")
     band("pilot alone", dft(scenario.x_p), comb)
     band("raw QPSK data", dft(s), comb)

@@ -4,7 +4,7 @@ Exit codes: 0 success, 2 invalid or unparseable config, 3 I/O error,
 4 numerical failure: an ill-conditioned pilot comb hit by LS estimation or
 its closed-form MSE, or, for ``run``, cells that estimate the channel on an
 ill-conditioned comb and hold more than 1% of the sweep's trials (such a
-cell flags all its trials; a perfect-CSI cell never reads the comb).
+cell flags all its trials; a ``ce_criterion = perfect`` cell never reads the comb).
 ``mse-theory`` still writes its file then, with ``mse_ls`` empty on the
 ill-conditioned taus; with alignment off it leaves both columns empty and
 exits 0.

@@ -18,8 +18,8 @@ _SECTIONS = {
     "waveform": ["tau", "beta", "nu"],
     "pilot": ["P", "Q", "sia"],
     "channel": ["L"],
-    "receiver": ["ce_criterion", "csi", "n_ista"],
-    "sim": ["sigma_s2", "ebn0_grid_db", "tau_grid", "seed",
+    "receiver": ["ce_criterion", "n_ista"],
+    "sim": ["ebn0_grid_db", "tau_grid", "seed",
             "min_trials", "max_trials", "target_bit_errors", "se_convention"],
 }
 
@@ -36,9 +36,7 @@ class FtnConfig:
     sia: bool = True
     L: int = 8
     ce_criterion: str = "mmse"
-    csi: str = "estimated"
     n_ista: int = 3
-    sigma_s2: float = 1.0
     ebn0_grid_db: tuple = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0)
     tau_grid: tuple = ()
     seed: int = 12345
@@ -73,15 +71,11 @@ class FtnConfig:
         if 2 * self.nu + 1 > self.N:
             errs.append(f"2*nu+1={2 * self.nu + 1} > N={self.N}")
         if self.Q < 2:
-            errs.append(f"Q={self.Q} < 2 leaves the pilot power (1 - 1/Q) sigma_s2 at zero")
-        if self.ce_criterion not in ("ls", "mmse"):
-            errs.append(f"ce_criterion={self.ce_criterion!r} not in (ls, mmse)")
-        if self.csi not in ("estimated", "perfect"):
-            errs.append(f"csi={self.csi!r} not in (estimated, perfect)")
+            errs.append(f"Q={self.Q} < 2 leaves the pilot power 1 - 1/Q at zero")
+        if self.ce_criterion not in ("ls", "mmse", "perfect"):
+            errs.append(f"ce_criterion={self.ce_criterion!r} not in (ls, mmse, perfect)")
         if self.se_convention not in ("info_dims", "paper_all_n"):
             errs.append(f"se_convention={self.se_convention!r} unknown")
-        if not 0 < self.sigma_s2 < math.inf:
-            errs.append(f"sigma_s2={self.sigma_s2} not positive and finite")
         if not self.ebn0_grid_db:
             errs.append("ebn0_grid_db is empty")
         for e in self.ebn0_grid_db:

@@ -10,7 +10,6 @@ onto the QPSK alphabet, the only modulation the config accepts.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -19,23 +18,20 @@ from .core import idft, read_only, wiener_weights
 from .pilot import apply_projector
 
 
-# unit QPSK points in Gray label order 2 b0 + b1: b0 sets the I sign, b1 the Q sign
-_GRAY = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
+# component amplitude of unit-power QPSK, the data power of every trial
+_A = math.sqrt(0.5)
+
+# unit-power QPSK points in Gray label order 2 b0 + b1: b0 sets the I sign, b1 the Q sign
+_GRAY = read_only(_A * np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]))
 
 
-@functools.lru_cache(maxsize=8)
-def _gray_points(sigma_s2: float) -> np.ndarray:
-    """Read-only Gray points of power sigma_s2; a sweep uses one, so it is cached."""
-    return read_only(np.sqrt(sigma_s2 / 2.0) * _GRAY)
+def map_bits(bits):
+    """Bit vector (even length) to unit-power QPSK symbol vector; bits 00 -> (+a, +a).
 
-
-def map_bits(bits, sigma_s2: float):
-    """Bit vector (even length) to QPSK symbol vector of power sigma_s2; bits 00 -> (+a, +a).
-
-    One gather from the four scaled Gray points per 2-bit label.
+    One gather from the four Gray points per 2-bit label.
     """
     pairs = np.asarray(bits).reshape(-1, 2)
-    return _gray_points(sigma_s2)[2 * pairs[:, 0] + pairs[:, 1]]
+    return _GRAY[2 * pairs[:, 0] + pairs[:, 1]]
 
 
 def demap_bits(symbols):
@@ -48,16 +44,15 @@ def demap_bits(symbols):
     return (symbols.view(np.float64) < 0).astype(np.int64)
 
 
-def project_nearest(v, sigma_s2: float):
-    """Entrywise nearest QPSK point, slicing each component by its sign.
+def project_nearest(v):
+    """Entrywise nearest unit-power QPSK point, slicing each component by its sign.
 
     ``< 0`` (not ``>= 0``) decides, so +-0 and NaN go to +a, the side of
     label 0, as in a nearest-point search that breaks ties to the lowest label.
     Both components are sliced in one pass over the float view.
     """
     s = np.ascontiguousarray(v, dtype=complex)
-    a = math.sqrt(sigma_s2 / 2.0)
-    return np.where(s.view(np.float64) < 0, -a, a).view(complex).reshape(np.shape(v))
+    return np.where(s.view(np.float64) < 0, -_A, _A).view(complex).reshape(np.shape(v))
 
 
 def fde_weights(lambda_eq, lambda_g, phi_diag, rho: float) -> np.ndarray:
@@ -88,7 +83,7 @@ def equalize(z_tilde, w):
     return idft(w * np.asarray(z_tilde))
 
 
-def ista_detect(u, Q: int, sigma_s2: float, n_iter: int):
+def ista_detect(u, Q: int, n_iter: int):
     """Iterative detection of s from u ~ Psi s.
 
     Initialization uses Psi^+ = Psi; each iteration adds the projected
@@ -109,6 +104,6 @@ def ista_detect(u, Q: int, sigma_s2: float, n_iter: int):
     for _ in range(n_iter):
         mean = np.add.reduce(s_hat, axis=-2, keepdims=True)
         mean /= Q
-        s_hat = project_nearest(segs + mean, sigma_s2)
-    s_hat = project_nearest(s_hat, sigma_s2).reshape(psi_u.shape)
+        s_hat = project_nearest(segs + mean)
+    s_hat = project_nearest(s_hat).reshape(psi_u.shape)
     return s_hat, demap_bits(s_hat)

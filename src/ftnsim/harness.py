@@ -46,12 +46,12 @@ def spectral_efficiency(cfg: FtnConfig, tau: float | None = None) -> float:
 
 
 def _snr_db(cfg: FtnConfig, ebn0_db: float, tau: float | None):
-    """sigma_s2/sigma_v2 (dB) = Eb/N0 (dB) + 10 log10(SE)."""
+    """1/sigma_v2 (dB), the SNR at unit data power, = Eb/N0 (dB) + 10 log10(SE)."""
     return ebn0_db + 10.0 * np.log10(spectral_efficiency(cfg, tau))
 
 
 def ebn0_to_sigma_v2(cfg: FtnConfig, ebn0_db: float, tau: float | None = None) -> float:
-    return cfg.sigma_s2 / 10.0 ** (_snr_db(cfg, ebn0_db, tau) / 10.0)
+    return 1.0 / 10.0 ** (_snr_db(cfg, ebn0_db, tau) / 10.0)
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def build_scenario(cfg: FtnConfig, tau: float | None = None) -> Scenario:
     # a tau off the config's grid (simulate_ce_mse) is checked like one on it
     replace(cfg, tau=tau).validate()
     _, lambda_g = build_isi_circulant(tau, cfg.beta, cfg.nu, cfg.N)
-    x_p = pilot.chu_pilot(cfg.P, cfg.Q, pilot.sia_pilot_power(cfg.sigma_s2, cfg.Q))
+    x_p = pilot.chu_pilot(cfg.P, cfg.Q, pilot.sia_pilot_power(cfg.Q))
     phi = phi_diag(lambda_g)
     return Scenario(cfg=cfg, tau=tau, lambda_g=read_only(lambda_g), x_p=read_only(x_p),
                     tables=chanest.build_comb_tables(lambda_g, x_p, cfg.Q),
@@ -87,7 +87,7 @@ class Cell:
     scenario: Scenario
     sigma_v2: float
     first_stream: int                               # RNG stream of trial 0
-    mmse_w: np.ndarray | None = field(repr=False)   # CE comb weights; None for LS
+    mmse_w: np.ndarray | None = field(repr=False)   # CE comb weights; None for LS and perfect
 
 
 def build_cell(scenario: Scenario, sigma_v2: float, cell_index: int = 0) -> Cell:
@@ -125,30 +125,30 @@ def run_trial(cell: Cell, trial_index: int) -> TrialResult:
 
     h, lambda_h = sample_channel(cfg.L, cfg.N, rng_ch)
     bits = _qpsk_bits(rng_data, cfg.N)
-    s = detector.map_bits(bits, cfg.sigma_s2)
+    s = detector.map_bits(bits)
     x = pilot.compose_tx(s, scenario.x_p, cfg.Q, cfg.sia)
 
     # the receiver reads only the spectrum, so it is formed per bin
     y_tilde = transmit_fast(dft(x), lambda_h, scenario.lambda_g,
                             noise=colored_noise(scenario.noise_factor, sigma_v2, rng_noise))
 
-    if cfg.csi == "perfect":
+    if cfg.ce_criterion == "perfect":
         lambda_eq = lambda_h
         sq_err = 0.0
     else:
         h_hat, lambda_eq = chanest.estimate_channel(y_tilde, scenario.tables, cfg.L, cell.mmse_w)
         sq_err = float(np.add.reduce(np.abs(h - h_hat) ** 2))
 
-    # alignment scales both powers by (1 - 1/Q), which cancels in their ratio
-    w = detector.fde_weights(lambda_eq, scenario.lambda_g, scenario.phi_diag,
-                             sigma_v2 / cfg.sigma_s2)
+    # the noise-to-signal ratio at unit data power; alignment scales both
+    # powers by (1 - 1/Q), which cancels in their ratio
+    w = detector.fde_weights(lambda_eq, scenario.lambda_g, scenario.phi_diag, sigma_v2)
     z_tilde = detector.zero_pilot_bins(y_tilde, cfg.Q)
     u = detector.equalize(z_tilde, w)
 
     if cfg.sia:
-        _, bits_hat = detector.ista_detect(u, cfg.Q, cfg.sigma_s2, cfg.n_ista)
+        _, bits_hat = detector.ista_detect(u, cfg.Q, cfg.n_ista)
     else:
-        hard = detector.project_nearest(u, cfg.sigma_s2)
+        hard = detector.project_nearest(u)
         bits_hat = detector.demap_bits(hard)
 
     # np.add.reduce and the divide are the ufunc calls np.sum / np.mean make
@@ -187,7 +187,7 @@ class SweepTable:
 def _theory_mse(scenario: Scenario, sigma_v2: float):
     """Closed-form CE MSE where the interference-free derivation applies."""
     cfg = scenario.cfg
-    if not cfg.sia or cfg.csi == "perfect":
+    if not cfg.sia or cfg.ce_criterion == "perfect":
         return None
     if cfg.ce_criterion == "ls":
         return chanest.theoretical_mse_ls(scenario.tables, cfg.L, sigma_v2)
@@ -236,7 +236,7 @@ def run_cell(cfg: FtnConfig, tau: float, ebn0_db: float, cell_index: int) -> Swe
         measured_tx_power=power_sum / trials,
         wall_s=time.perf_counter() - t0,
         # only a cell that estimates the channel reads the comb
-        flagged_trials=trials if cfg.csi == "estimated" and scenario.tables.bad_bins else 0,
+        flagged_trials=trials if cfg.ce_criterion != "perfect" and scenario.tables.bad_bins else 0,
     )
 
 
@@ -315,7 +315,8 @@ def _qpsk_fold(rng, b: int, P: int, Q: int, sigma_s2: float) -> np.ndarray:
 
     Under uniform Gray labels each component's sign is a fair bit, so a
     component of the fold is a (Q - 2 * popcount) over Q independent bits,
-    a = sqrt(sigma_s2 / 2): exactly the distribution of the full-band fold.
+    a = sqrt(sigma_s2 / 2) at the data power ``simulate_ce_mse`` sweeps:
+    exactly the distribution of the full-band fold.
     The bits come as ceil(Q / 64) uint64 words per (trial, component,
     position): bit q mod 64 of word q // 64 of (c, p) is the sign (1 =
     negative) of component c (0 real, 1 imaginary) of symbol q P + p.
@@ -332,14 +333,15 @@ def _qpsk_fold(rng, b: int, P: int, Q: int, sigma_s2: float) -> np.ndarray:
 
 
 def simulate_ce_mse(cfg: FtnConfig, tau: float, sigma_v2: float, n_trials: int,
-                    criteria=("ls", "mmse"), sigma_s2: float | None = None,
+                    criteria=("ls", "mmse"), sigma_s2: float = 1.0,
                     seed: int | None = None):
     """Vectorized CE-only Monte Carlo through the transmit chain, formed on the comb only.
 
     Runs every requested estimator on the same channel / data / noise
     realizations and returns {criterion: (mse_mean, mse_stderr)}.  Channel,
     data, and noise use independent substreams per chunk, so the noise (and
-    channel) realizations are matched across different ``sigma_s2`` values.
+    channel) realizations are matched across different data powers
+    ``sigma_s2``; the pilot keeps the config's power 1 - 1/Q at each.
 
     CE reads only the P comb bins k = iQ, so only those are formed.  The
     comb of the unitary N-point spectrum is the unitary P-point DFT of the
@@ -364,8 +366,6 @@ def simulate_ce_mse(cfg: FtnConfig, tau: float, sigma_v2: float, n_trials: int,
             raise ValueError(f"unknown CE criterion {crit!r}")
     if n_trials < 1:
         raise ValueError(f"need n_trials >= 1, got {n_trials}")
-    if sigma_s2 is None:
-        sigma_s2 = cfg.sigma_s2
     # the comparisons are False for NaN, so it is rejected too
     if not 0.0 <= sigma_s2 < math.inf:
         raise ValueError(f"need 0 <= sigma_s2 < inf, got {sigma_s2}")
@@ -373,7 +373,6 @@ def simulate_ce_mse(cfg: FtnConfig, tau: float, sigma_v2: float, n_trials: int,
         raise ValueError(f"need 0 <= sigma_v2 < inf, got {sigma_v2}")
     if seed is None:
         seed = cfg.seed
-    # pilot power follows the configured (not the swept) data power
     scenario = build_scenario(cfg, tau)
     L, P, Q = cfg.L, cfg.P, cfg.Q
     x_p_fold = np.add.reduce(scenario.x_p.reshape(Q, P), axis=0)

@@ -13,9 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 
-def sia_pilot_power(sigma_s2: float, Q: int) -> float:
-    """Rebalanced pilot power per symbol under alignment: (1 - 1/Q) sigma_s2."""
-    return (1.0 - 1.0 / Q) * sigma_s2
+def sia_pilot_power(Q: int) -> float:
+    """Rebalanced pilot power per symbol under alignment, for unit-power data: 1 - 1/Q."""
+    return 1.0 - 1.0 / Q
 
 
 def chu_pilot(P: int, Q: int, sigma_p2: float) -> np.ndarray:

@@ -139,10 +139,10 @@ def receive_td(x, lambda_h, lambda_g, eta_td):
     return dft(circulant_matvec(lambda_g * lambda_h, x) + eta_td)
 
 
-def slice_reference(v, sigma_s2: float):
-    """QPSK sign slicer with one np.where per component: < 0 -> -a, else +a."""
+def slice_reference(v):
+    """Unit-power QPSK sign slicer with one np.where per component: < 0 -> -a, else +a."""
     v = np.asarray(v)
-    a = np.sqrt(sigma_s2 / 2.0)
+    a = np.sqrt(1.0 / 2.0)
     s = np.empty(v.shape, complex)
     s.real = np.where(v.real < 0, -a, a)
     s.imag = np.where(v.imag < 0, -a, a)
@@ -156,7 +156,7 @@ def demap_reference(symbols):
     return bits.reshape(symbols.shape[:-1] + (-1,))
 
 
-def ista_reference(u, Q: int, sigma_s2: float, n_iter: int):
+def ista_reference(u, Q: int, n_iter: int):
     """ISTA iterates as written, two projections per step: s + Psi (u - Psi s), sliced.
 
     Returns [Psi u, s_1, ..., s_n_iter]; the detector's decision is the
@@ -166,7 +166,7 @@ def ista_reference(u, Q: int, sigma_s2: float, n_iter: int):
     iterates = [s_hat]
     for _ in range(n_iter):
         r = u - apply_projector(s_hat, Q)
-        s_hat = slice_reference(s_hat + apply_projector(r, Q), sigma_s2)
+        s_hat = slice_reference(s_hat + apply_projector(r, Q))
         iterates.append(s_hat)
     return iterates
 
@@ -187,7 +187,7 @@ def qpsk_block_from_words(words, Q: int, sigma_s2: float):
 
 
 def ce_mse_reference(cfg, tau: float, sigma_v2: float, n_trials: int,
-                     criteria=("ls", "mmse"), sigma_s2: float | None = None,
+                     criteria=("ls", "mmse"), sigma_s2: float = 1.0,
                      seed: int | None = None):
     """``harness.simulate_ce_mse`` through the full band: all N bins, then the comb.
 
@@ -197,7 +197,6 @@ def ce_mse_reference(cfg, tau: float, sigma_v2: float, n_trials: int,
     formed on every bin as dft(Theta x) before the comb is taken.  The noise
     is drawn on the comb, as the library draws it.
     """
-    sigma_s2 = cfg.sigma_s2 if sigma_s2 is None else sigma_s2
     seed = cfg.seed if seed is None else seed
     scenario = harness.build_scenario(cfg, tau)
     n, L, P, Q = cfg.N, cfg.L, cfg.P, cfg.Q
@@ -251,9 +250,9 @@ def reference_trial(cell, trial_index: int):
     estimator, FDE weights, comb zeroing and detector are the library's.
 
     Returns a namespace with the trial's ``bit_errors``, ``sq_err`` and
-    ``tx_power``, and the intermediates ``s`` (data symbols), ``u``
-    (equalizer output), ``w`` (FDE weights) and ``lambda_h`` (true channel
-    response).
+    ``tx_power``, and the intermediates ``s`` (data symbols), ``x`` (transmit
+    block), ``u`` (equalizer output), ``w`` (FDE weights) and ``lambda_h``
+    (true channel response).
     """
     scenario, sigma_v2 = cell.scenario, cell.sigma_v2
     cfg = scenario.cfg
@@ -268,7 +267,7 @@ def reference_trial(cell, trial_index: int):
     bits = rng_data.integers(0, 2, 2 * n)
     pairs = bits.reshape(-1, 2)
     gray = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
-    s = (np.sqrt(cfg.sigma_s2 / 2.0) * gray)[2 * pairs[:, 0] + pairs[:, 1]]
+    s = (np.sqrt(1.0 / 2.0) * gray)[2 * pairs[:, 0] + pairs[:, 1]]
     if cfg.sia:
         x = apply_projector(s, cfg.Q).astype(np.result_type(s, scenario.x_p), copy=False)
         x += scenario.x_p
@@ -281,21 +280,20 @@ def reference_trial(cell, trial_index: int):
     x_tilde /= math.sqrt(n)
     y_tilde = scenario.lambda_g * lambda_h * x_tilde + eta
 
-    if cfg.csi == "perfect":
+    if cfg.ce_criterion == "perfect":
         lambda_eq, sq_err = lambda_h, 0.0
     else:
         h_hat, lambda_eq = chanest.estimate_channel(y_tilde, scenario.tables, cfg.L, cell.mmse_w)
         sq_err = float(np.add.reduce(np.abs(h - h_hat) ** 2))
-    w = detector.fde_weights(lambda_eq, scenario.lambda_g, scenario.phi_diag,
-                             sigma_v2 / cfg.sigma_s2)
+    w = detector.fde_weights(lambda_eq, scenario.lambda_g, scenario.phi_diag, sigma_v2)
     z_tilde = detector.zero_pilot_bins(y_tilde, cfg.Q)
     u = np.fft.ifft(w * z_tilde, axis=-1) * math.sqrt(n)
     if cfg.sia:
-        _, bits_hat = detector.ista_detect(u, cfg.Q, cfg.sigma_s2, cfg.n_ista)
+        _, bits_hat = detector.ista_detect(u, cfg.Q, cfg.n_ista)
     else:
-        bits_hat = detector.demap_bits(detector.project_nearest(u, cfg.sigma_s2))
+        bits_hat = detector.demap_bits(detector.project_nearest(u))
 
     power = np.abs(x) ** 2
     return SimpleNamespace(bit_errors=int(np.count_nonzero(bits != bits_hat)), sq_err=sq_err,
                            tx_power=float(np.add.reduce(power) / power.size),
-                           s=s, u=u, w=w, lambda_h=lambda_h)
+                           s=s, x=x, u=u, w=w, lambda_h=lambda_h)

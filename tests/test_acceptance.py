@@ -135,7 +135,7 @@ def test_criterion_4_ber_orderings(report):
     cfg = FtnConfig(se_convention="paper_all_n")
     sv2 = ebn0_to_sigma_v2(cfg, 10.0)
     n = 2000
-    perfect = _ber(replace(cfg, csi="perfect"), sv2, n)
+    perfect = _ber(replace(cfg, ce_criterion="perfect"), sv2, n)
     aligned = _ber(cfg, sv2, n)
     unaligned = _ber(replace(cfg, sia=False, ce_criterion="ls"), sv2, n)
     chain = _separated(perfect, aligned) and _separated(aligned, unaligned)
@@ -169,7 +169,7 @@ def test_criterion_5_exact_chain_closures(report):
     checks.append(("CE recovery", float(np.linalg.norm(h_hat - h)), 1e-9))
 
     rng = make_rng(53)
-    s = map_bits(rng.integers(0, 2, 256), scenario.cfg.sigma_s2)
+    s = map_bits(rng.integers(0, 2, 256))
     fd = dft(apply_projector(s, scenario.cfg.Q))
     checks.append(("spectral zeroing", float(np.abs(fd[::16]).max()), 1e-12))
 
@@ -194,7 +194,7 @@ def test_criterion_5_exact_chain_closures(report):
 def test_criterion_6_exhaustive_toy_detection(report):
     # N=8, (P,Q)=(2,4): the projector decouples the two residue classes,
     # so the exact nearest-codeword search is a per-class table lookup
-    points = map_bits([0, 0, 0, 1, 1, 0, 1, 1], 1.0)
+    points = map_bits([0, 0, 0, 1, 1, 0, 1, 1])
 
     digits = (np.arange(4 ** 8)[:, None] // 4 ** np.arange(8)[None, :]) % 4
     s_all = points[digits]                 # all 65536 data blocks
@@ -214,7 +214,7 @@ def test_criterion_6_exhaustive_toy_detection(report):
         unique &= order[:, 1] - order[:, 0] > 1e-9
         s_bf[:, cls::2] = cand[np.argmin(d, axis=1)]
 
-    s_ista, _ = ista_detect(u_all, 4, 1.0, n_iter=3)
+    s_ista, _ = ista_detect(u_all, 4, n_iter=3)
     agree = np.abs(s_ista[unique] - s_bf[unique]).max() < 1e-12
     report(6, agree and unique.sum() > 0,
            f"ista_detect matches brute-force nearest-codeword search on all "

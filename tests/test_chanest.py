@@ -21,8 +21,8 @@ def scenario():
     return build_scenario(FtnConfig())
 
 
-def received_fd(scenario, lambda_h, rng, sigma_v2=0.0, sigma_s2=1.0):
-    a = np.sqrt(sigma_s2 / 2)
+def received_fd(scenario, lambda_h, rng, sigma_v2=0.0):
+    a = np.sqrt(0.5)
     s = a * (rng.choice([-1, 1], 128) + 1j * rng.choice([-1, 1], 128))
     x = compose_tx(s, scenario.x_p, scenario.cfg.Q, scenario.cfg.sia)
     noise = None
@@ -261,7 +261,7 @@ class TestInterferenceProperties:
     def test_unbiased_noise_free_chain(self):
         # exact recovery for any L <= P
         _, lambda_g = build_isi_circulant(tau=0.9, beta=0.5, nu=8, N=64)
-        x_p = chu_pilot(8, 8, sia_pilot_power(1.0, 8))
+        x_p = chu_pilot(8, 8, sia_pilot_power(8))
         tables = build_comb_tables(lambda_g, x_p, 8)
         for L in (1, 3, 8):
             h, lambda_h = sample_channel(L, 64, make_rng(20 + L))

@@ -13,15 +13,14 @@ from ftnsim.pilot import apply_projector, compose_tx
 from oracles import demap_reference, ista_reference, slice_reference
 
 
-def qpsk_points(sigma_s2=1.0):
+def qpsk_points():
     """The four QPSK points in bit-pattern order 00, 01, 10, 11."""
-    return map_bits([0, 0, 0, 1, 1, 0, 1, 1], sigma_s2)
+    return map_bits([0, 0, 0, 1, 1, 0, 1, 1])
 
 
 class TestConstellation:
     def test_power(self):
-        for s2 in (0.5, 1.0, 4.0):
-            assert np.mean(np.abs(qpsk_points(s2)) ** 2) == pytest.approx(s2, abs=1e-12)
+        np.testing.assert_allclose(np.abs(qpsk_points()) ** 2, 1.0, rtol=1e-15)
 
     def test_gray_adjacency(self):
         points = qpsk_points()
@@ -42,24 +41,24 @@ class TestConstellation:
     def test_odd_bit_count_rejected(self):
         for bits in ([1], [0, 1, 1]):
             with pytest.raises(ValueError):
-                map_bits(bits, 1.0)
+                map_bits(bits)
 
     def test_random_round_trip(self):
         rng = make_rng(1)
         for _ in range(100):
             bits = rng.integers(0, 2, 200)
-            np.testing.assert_array_equal(demap_bits(map_bits(bits, 1.0)), bits)
+            np.testing.assert_array_equal(demap_bits(map_bits(bits)), bits)
 
     def test_sign_slicer_matches_nearest_point_search(self, rng):
         # +-0 ties every point; the search breaks ties to label 0, as must the slicer
         v = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)
         v[:4] = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0)]
-        points = qpsk_points(2.0)
+        points = qpsk_points()
         nearest = points[np.argmin(np.abs(v[:, None] - points), axis=1)]
-        np.testing.assert_array_equal(project_nearest(v, 2.0), nearest)
+        np.testing.assert_array_equal(project_nearest(v), nearest)
 
     def test_nan_slices_to_label_zero(self):
-        sym = project_nearest(np.array([complex(np.nan, np.nan)]), 1.0)
+        sym = project_nearest(np.array([complex(np.nan, np.nan)]))
         np.testing.assert_array_equal(sym, qpsk_points()[:1])
 
     def test_float_view_forms_match_per_component_forms(self, rng):
@@ -68,10 +67,9 @@ class TestConstellation:
                     complex(np.nan, -1.0), complex(-1.0, np.nan)]
         cases = [z, z[0], z[:, ::3], z.T, z[::2, 1::2], z.real, z.real[::2], z[1, 1]]
         for v in cases:
-            for s2 in (1.0, 2.0):
-                sym = project_nearest(v, s2)
-                assert sym.shape == v.shape
-                np.testing.assert_array_equal(sym, slice_reference(v, s2))
+            sym = project_nearest(v)
+            assert sym.shape == v.shape
+            np.testing.assert_array_equal(sym, slice_reference(v))
             np.testing.assert_array_equal(demap_bits(v), demap_reference(v))
 
 
@@ -167,7 +165,7 @@ class TestZeroPilotBins:
         # removed energy is pilot-only in the noise-free case
         scenario = build_scenario(FtnConfig())
         rng = make_rng(2)
-        s = map_bits(rng.integers(0, 2, 256), scenario.cfg.sigma_s2)
+        s = map_bits(rng.integers(0, 2, 256))
         x = compose_tx(s, scenario.x_p, scenario.cfg.Q, scenario.cfg.sia)
         fd = dft(x)
         pilot_fd = dft(scenario.x_p)
@@ -191,7 +189,7 @@ class TestEqualize:
         scenario = build_scenario(FtnConfig())
         rng = make_rng(3)
         _, lambda_h = sample_channel(8, 128, rng)
-        s = map_bits(rng.integers(0, 2, 256), scenario.cfg.sigma_s2)
+        s = map_bits(rng.integers(0, 2, 256))
         x = compose_tx(s, scenario.x_p, scenario.cfg.Q, scenario.cfg.sia)
         y_fd = transmit_fast(dft(x), lambda_h, scenario.lambda_g)
         w = fde_weights(lambda_h, scenario.lambda_g,
@@ -208,7 +206,7 @@ class TestEqualize:
         scenario = build_scenario(FtnConfig())
         rng = make_rng(4)
         _, lambda_h = sample_channel(8, 128, rng)
-        s = map_bits(rng.integers(0, 2, 256), scenario.cfg.sigma_s2)
+        s = map_bits(rng.integers(0, 2, 256))
         y_fd = transmit_fast(dft(s), lambda_h, scenario.lambda_g)
         w = fde_weights(lambda_h, scenario.lambda_g,
                         phi_diag(scenario.lambda_g), 0.0)
@@ -220,46 +218,45 @@ class TestIstaDetect:
     def test_zero_iterations_is_projected_init(self):
         rng = make_rng(5)
         u = rng.standard_normal(8) + 1j * rng.standard_normal(8)   # P = 2, Q = 4
-        sym, _ = ista_detect(u, 4, 1.0, n_iter=0)
-        np.testing.assert_array_equal(sym,
-                                      project_nearest(apply_projector(u, 4), 1.0))
+        sym, _ = ista_detect(u, 4, n_iter=0)
+        np.testing.assert_array_equal(sym, project_nearest(apply_projector(u, 4)))
 
     def test_recovers_clean_blocks(self):
         rng = make_rng(6)
         ok = 0
         for _ in range(200):
             bits = rng.integers(0, 2, 256)
-            s = map_bits(bits, 1.0)
+            s = map_bits(bits)
             u = apply_projector(s, 16)   # P = 8, Q = 16
-            _, bits_hat = ista_detect(u, 16, 1.0, 3)
+            _, bits_hat = ista_detect(u, 16, 3)
             ok += np.array_equal(bits, bits_hat)
         assert ok >= 198  # residue-class sign ambiguity is rare at Q=16
 
     def test_fixed_point(self):
         rng = make_rng(7)
-        s = map_bits(rng.integers(0, 2, 64), 1.0)   # P = 4, Q = 8
+        s = map_bits(rng.integers(0, 2, 64))   # P = 4, Q = 8
         u = apply_projector(s, 8)
-        sym3, _ = ista_detect(u, 8, 1.0, 3)
-        sym9, _ = ista_detect(u, 8, 1.0, 9)
+        sym3, _ = ista_detect(u, 8, 3)
+        sym9, _ = ista_detect(u, 8, 9)
         np.testing.assert_array_equal(sym3, sym9)
 
     def test_outputs_are_constellation_points(self):
         rng = make_rng(8)
         u = rng.standard_normal(32) + 1j * rng.standard_normal(32)   # P = 4, Q = 8
-        sym, _ = ista_detect(u, 8, 1.0, 3)
+        sym, _ = ista_detect(u, 8, 3)
         d = np.abs(sym[:, None] - qpsk_points()[None, :]).min(axis=1)
         assert d.max() < 1e-12
 
     @pytest.mark.parametrize("n_iter", range(5))
     def test_matches_two_projection_reference(self, n_iter):
         rng = make_rng(10, n_iter)
-        s = map_bits(rng.integers(0, 2, 4 * 256), 2.0).reshape(4, 128)   # P = 8, Q = 16
+        s = map_bits(rng.integers(0, 2, 4 * 256)).reshape(4, 128)   # P = 8, Q = 16
         noisy = apply_projector(s, 16) + 0.4 * (rng.standard_normal((4, 128))
                                                   + 1j * rng.standard_normal((4, 128)))
         wide = rng.standard_normal((3, 256)) + 1j * rng.standard_normal((3, 256))
         for u in [noisy, noisy[1], wide[:, ::2], noisy.real, wide.real[0, ::2]]:
-            sym, bits = ista_detect(u, 16, 2.0, n_iter)
-            ref = slice_reference(ista_reference(u, 16, 2.0, n_iter)[-1], 2.0)
+            sym, bits = ista_detect(u, 16, n_iter)
+            ref = slice_reference(ista_reference(u, 16, n_iter)[-1])
             np.testing.assert_array_equal(sym, ref)
             np.testing.assert_array_equal(bits, demap_reference(ref))
 
@@ -268,9 +265,9 @@ class TestIstaDetect:
         good = 0
         trials = 200
         for _ in range(trials):
-            s = map_bits(rng.integers(0, 2, 256), 1.0)
+            s = map_bits(rng.integers(0, 2, 256))
             u = apply_projector(s, 16)   # P = 8, Q = 16
             res = [np.linalg.norm(u - apply_projector(s_hat, 16))
-                   for s_hat in ista_reference(u, 16, 1.0, 3)]
+                   for s_hat in ista_reference(u, 16, 3)]
             good += all(b <= a + 1e-12 for a, b in zip(res, res[1:]))
         assert good >= 0.99 * trials

@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from ftnsim import chanest, cli, config, harness
 from ftnsim.channel import colored_noise
 from ftnsim.config import (ConfigError, FtnConfig, apply_overrides, dump_config,
                            load_config, scenario_hash)
-from ftnsim.core import make_rng
+from ftnsim.core import dft, idft, make_rng
 from ftnsim.harness import (build_cell, build_scenario, ebn0_to_sigma_v2,
                             emit_results, run_sweep, run_trial, simulate_ce_mse,
                             spectral_efficiency)
@@ -44,8 +45,7 @@ class TestConfig:
             replace(FtnConfig(), nu=70).validate()
         with pytest.raises(ConfigError):
             replace(FtnConfig(), seed=-1).validate()
-        for bad in (dict(L=0), dict(L=-1), dict(L=0, nu=0), dict(sigma_s2=0.0),
-                    dict(sigma_s2=math.inf), dict(sigma_s2=math.nan),
+        for bad in (dict(L=0), dict(L=-1), dict(L=0, nu=0),
                     dict(ebn0_grid_db=(0.0, math.nan)), dict(ebn0_grid_db=(math.inf,)),
                     dict(ebn0_grid_db=(-math.inf, 4.0)), dict(ebn0_grid_db=()),
                     dict(max_trials=2**32 // 6 + 1)):
@@ -76,8 +76,10 @@ class TestConfig:
             apply_overrides(FtnConfig(), ["nonsense=1"])
         with pytest.raises(ConfigError):
             apply_overrides(FtnConfig(), ["tau"])
-        # N and modulation are derived; the equalizer is always MMSE
-        for removed in ("N=64", "modulation=qpsk", "eq_criterion=ls"):
+        # N and modulation are derived; the equalizer is always MMSE; the data
+        # power is 1; perfect CSI is ce_criterion=perfect
+        for removed in ("N=64", "modulation=qpsk", "eq_criterion=ls", "sigma_s2=1",
+                        "csi=perfect"):
             with pytest.raises(ConfigError, match="unknown config key"):
                 apply_overrides(FtnConfig(), [removed])
 
@@ -100,7 +102,7 @@ class TestConfig:
 
     def test_hash_tracks_content(self):
         a = scenario_hash(FtnConfig())
-        assert a == scenario_hash(FtnConfig()) == "aabc248d7917"
+        assert a == scenario_hash(FtnConfig()) == "a2e100a035ef"
         assert a != scenario_hash(replace(FtnConfig(), seed=1))
         grid = replace(FtnConfig(), ebn0_grid_db=(0.0, 1.0))
         assert scenario_hash(grid) != scenario_hash(
@@ -130,7 +132,7 @@ class TestSpectralEfficiency:
         cfg = FtnConfig()
         se = spectral_efficiency(cfg)
         sv2 = ebn0_to_sigma_v2(cfg, 10.0)
-        assert 10 * np.log10(cfg.sigma_s2 / sv2) == pytest.approx(
+        assert 10 * np.log10(1.0 / sv2) == pytest.approx(
             10.0 + 10 * np.log10(se))
 
 
@@ -161,7 +163,7 @@ class TestRunTrial:
         assert len(calls) <= 3, calls
 
     def test_noise_free_perfect_csi_error_free(self):
-        cell = build_cell(build_scenario(replace(FtnConfig(), csi="perfect")), 0.0)
+        cell = build_cell(build_scenario(replace(FtnConfig(), ce_criterion="perfect")), 0.0)
         errors = sum(run_trial(cell, i).bit_errors for i in range(20))
         assert errors == 0
 
@@ -171,7 +173,7 @@ class TestRunTrial:
 
     @pytest.mark.parametrize("sigma_v2", [math.nan, math.inf])
     def test_nan_or_infinite_noise_variance_rejected(self, sigma_v2):
-        for cfg in (FtnConfig(), replace(FtnConfig(), csi="perfect")):
+        for cfg in (FtnConfig(), replace(FtnConfig(), ce_criterion="perfect")):
             with pytest.raises(ValueError, match="0 <= sigma_v2 < inf"):
                 run_trial(build_cell(build_scenario(cfg), sigma_v2), 0)
 
@@ -209,21 +211,22 @@ class TestRunTrial:
         assert run_trial(cell, 3) == before
 
     def test_perfect_csi_zero_mse(self):
-        cell = build_cell(build_scenario(replace(FtnConfig(), csi="perfect")), 0.1)
+        cell = build_cell(build_scenario(replace(FtnConfig(), ce_criterion="perfect")), 0.1)
         assert run_trial(cell, 0).sq_err == 0.0
 
     def test_perfect_csi_dominates_estimated(self):
         cfg = FtnConfig()
         sv2 = ebn0_to_sigma_v2(cfg, 8.0)
         est = build_cell(build_scenario(cfg), sv2)
-        per = build_cell(build_scenario(replace(cfg, csi="perfect")), sv2)
+        per = build_cell(build_scenario(replace(cfg, ce_criterion="perfect")), sv2)
         n = 1000
         e_est = sum(run_trial(est, i).bit_errors for i in range(n))
         e_per = sum(run_trial(per, i).bit_errors for i in range(n))
         assert e_per <= e_est
 
 
-_CHAIN_CONFIGS = {"default": {}, "ls": {"ce_criterion": "ls"}, "perfect": {"csi": "perfect"},
+_CHAIN_CONFIGS = {"default": {}, "ls": {"ce_criterion": "ls"},
+                  "perfect": {"ce_criterion": "perfect"},
                   "sia_off": {"sia": False}, "tau_0.9": {"tau": 0.9}}
 
 
@@ -250,7 +253,7 @@ class TestTrialChain:
         # off the comb and 0 on it, g = lambda_h lambda_g with the true
         # channel.  The estimate reads only the comb noise, independent of the
         # off-comb data and noise, so given the channel and w its mean is
-        # sum_{k off the comb} |w_k g_k - 1|^2 sigma_s2 + |w_k|^2 sigma_v2 phi_k,
+        # sum_{k off the comb} |w_k g_k - 1|^2 + |w_k|^2 sigma_v2 phi_k at unit data power,
         # for any weights w.  Bound, fixed in advance: 4.5 standard errors of
         # the paired per-trial difference, the benchmark's MSE gate.
         cfg = replace(FtnConfig(), seed=4242, **_CHAIN_CONFIGS[name])
@@ -265,9 +268,38 @@ class TestTrialChain:
                 t = reference_trial(cell, i)
                 sim = np.sum(np.abs(t.u - apply_projector(t.s, cfg.Q)) ** 2)
                 w, g = t.w[off], (t.lambda_h * scenario.lambda_g)[off]
-                cond = np.sum(np.abs(w * g - 1.0) ** 2 * cfg.sigma_s2
+                cond = np.sum(np.abs(w * g - 1.0) ** 2
                               + np.abs(w) ** 2 * cell.sigma_v2 * scenario.phi_diag[off])
                 diff[i] = sim - cond
+            z = diff.mean() / (diff.std(ddof=1) / math.sqrt(n))
+            assert abs(z) < 4.5, (ebn0, z)
+
+    @pytest.mark.parametrize("name", _CHAIN_CONFIGS)
+    def test_bit_errors_match_conditional_expectation(self, name):
+        # Given the channel, the data and the comb noise, w is fixed and the
+        # equalizer output is u = m + n, with m = idft(w zero_comb(g dft(x))),
+        # g = lambda_h lambda_g.  n comes from the off-comb noise only: circular
+        # Gaussian with variance v = (1/N) sum_{k off the comb} |w_k|^2 sigma_v2
+        # phi_k per sample.  A single slice (alignment off, or n_ista = 0; with
+        # alignment on Psi u = u) errs on real component c with probability
+        # Phi(-sign(s_c) m_c / sqrt(v / 2)), the quasi-analytic estimate of
+        # Jeruchim, Balaban & Shanmugan, "Simulation of Communication Systems",
+        # ch. 11.  Bound, fixed in advance: 4.5 standard errors of the paired
+        # per-trial difference between the bit errors and their expectation.
+        cfg = replace(FtnConfig(), seed=777, n_ista=0, **_CHAIN_CONFIGS[name])
+        scenario = build_scenario(cfg)
+        off = np.ones(cfg.N, bool)
+        off[::cfg.Q] = False
+        n = 500
+        for cell_index, ebn0 in enumerate((0.0, 8.0)):
+            cell = build_cell(scenario, ebn0_to_sigma_v2(cfg, ebn0), cell_index)
+            diff = np.empty(n)
+            for i in range(n):
+                t = reference_trial(cell, i)
+                m = idft(np.where(off, t.w * t.lambda_h * scenario.lambda_g * dft(t.x), 0.0))
+                v = np.sum(np.abs(t.w[off]) ** 2 * cell.sigma_v2 * scenario.phi_diag[off]) / cfg.N
+                margin = np.sign(t.s.view(np.float64)) * m.view(np.float64)
+                diff[i] = t.bit_errors - np.sum(ndtr(-margin / math.sqrt(v / 2)))
             z = diff.mean() / (diff.std(ddof=1) / math.sqrt(n))
             assert abs(z) < 4.5, (ebn0, z)
 
@@ -293,9 +325,8 @@ def any_config(draw):
     return FtnConfig(
         P=P, Q=Q, L=L, nu=draw(st.integers(L, max(L, P * Q // 2))),
         tau=draw(st.floats(0.2, 1.0)), beta=draw(st.floats(0.0, 1.0)),
-        sia=draw(st.booleans()), ce_criterion=draw(st.sampled_from(["ls", "mmse"])),
-        csi=draw(st.sampled_from(["estimated", "perfect"])), n_ista=draw(st.integers(0, 4)),
-        sigma_s2=draw(st.sampled_from([1e-3, 1.0, 1e3])))
+        sia=draw(st.booleans()), ce_criterion=draw(st.sampled_from(["ls", "mmse", "perfect"])),
+        n_ista=draw(st.integers(0, 4)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -488,7 +519,7 @@ class TestRunSweep:
         cfg = replace(FtnConfig(), **FAST)
         assert run_sweep(cfg).rows[0].mse_theory is not None
         assert run_sweep(replace(cfg, sia=False)).rows[0].mse_theory is None
-        assert run_sweep(replace(cfg, csi="perfect")).rows[0].mse_theory is None
+        assert run_sweep(replace(cfg, ce_criterion="perfect")).rows[0].mse_theory is None
 
     def test_measured_power_reported(self):
         cfg = replace(FtnConfig(), **FAST)
@@ -556,7 +587,7 @@ class TestRunSweep:
         rows = run_sweep(replace(cfg, tau=0.5, beta=1.0)).rows
         assert [r.flagged_trials for r in rows] == [r.trials for r in rows] == [20]
         # with perfect CSI no trial reads the comb
-        rows = run_sweep(replace(cfg, tau=0.5, beta=1.0, csi="perfect")).rows
+        rows = run_sweep(replace(cfg, tau=0.5, beta=1.0, ce_criterion="perfect")).rows
         assert [r.flagged_trials for r in rows] == [0]
 
 
@@ -632,7 +663,7 @@ class TestCli:
         assert proc.returncode == 2
         assert "L=0 < 1" in proc.stderr
 
-    @pytest.mark.parametrize("override", ["sigma_s2=inf", "ebn0_grid_db=nan"])
+    @pytest.mark.parametrize("override", ["ebn0_grid_db=0 inf", "ebn0_grid_db=nan"])
     def test_run_non_finite_is_config_error(self, cfg_file, tmp_path, override):
         proc = run_cli("run", "--config", cfg_file, "--out", str(tmp_path),
                        "--override", override)
@@ -688,7 +719,7 @@ class TestCli:
         assert proc.returncode == 4
         # perfect CSI never reads the comb, so nothing is flagged
         proc = run_cli("run", "--config", cfg_file, "--out", str(out), *null,
-                       "--override", "csi=perfect")
+                       "--override", "ce_criterion=perfect")
         assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("flagged, code", [(10, 0), (11, 4)])

@@ -14,11 +14,11 @@ from oracles import cyclic_mean, projector_dense
 # projector geometry and pilot power of the default config: N = P * Q
 P, Q = 8, 16
 N = P * Q
-SIGMA_P2 = sia_pilot_power(1.0, Q)
+SIGMA_P2 = sia_pilot_power(Q)
 
 
-def qpsk_block(rng, n, sigma_s2=1.0):
-    a = np.sqrt(sigma_s2 / 2)
+def qpsk_block(rng, n):
+    a = np.sqrt(0.5)
     return a * (rng.choice([-1, 1], n) + 1j * rng.choice([-1, 1], n))
 
 
@@ -49,7 +49,7 @@ class TestChuPilot:
         assert (mags.max() - mags.min()) / mags.mean() < 1e-10
 
     def test_q1_with_sia_rejected(self):
-        # Q = 1 leaves the pilot power (1 - 1/Q) sigma_s2 at zero, with
+        # Q = 1 leaves the pilot power 1 - 1/Q at zero, with
         # alignment on or off; the same N = 8 config at Q = 2 is valid
         for sia in (True, False):
             FtnConfig(P=4, Q=2, nu=3, L=3, sia=sia).validate()
@@ -79,7 +79,7 @@ class TestSiaTransform:
         assert np.abs(fd_t[mask] - fd_s[mask]).max() < 1e-12
 
     def test_dimension_mismatch(self):
-        for fn in (cyclic_mean, apply_projector, partial(ista_detect, sigma_s2=1.0, n_iter=3)):
+        for fn in (cyclic_mean, apply_projector, partial(ista_detect, n_iter=3)):
             with pytest.raises(ValueError):
                 fn(np.ones(N + 1), Q)
             with pytest.raises(ValueError):
