@@ -185,7 +185,7 @@ def wiener_weights(gamma, rho, phi):
     """
     num = np.conj(gamma)
     den = np.abs(gamma) ** 2 + rho * np.asarray(phi)
-    return np.divide(num, den, out=np.zeros_like(num), where=den != 0)
+    return np.divide(num, den, out=np.zeros(num.shape, num.dtype), where=den != 0)
 
 
 def complex_gaussian(shape, variance, rng):

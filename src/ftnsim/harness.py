@@ -249,11 +249,14 @@ def run_sweep(cfg: FtnConfig, workers: int = 1) -> SweepTable:
     else:
         # imported here: the pool machinery adds ~10 ms to every import of ftnsim
         from concurrent.futures import ProcessPoolExecutor
+        # the cells with the fewest errors per trial run the most trials, so
+        # the highest Eb/N0 goes first (longest job first); the sort is stable,
+        # so ties keep grid order.  Each cell keeps its index, and so its streams.
+        order = sorted(range(len(cells)), key=lambda i: cells[i][1], reverse=True)
         # a fork pool starts all its workers at the first submit
         with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
-            futures = [pool.submit(run_cell, cfg, tau, ebn0, i)
-                       for i, (tau, ebn0) in enumerate(cells)]
-            rows = [f.result() for f in futures]
+            futures = {i: pool.submit(run_cell, cfg, *cells[i], i) for i in order}
+            rows = [futures[i].result() for i in range(len(cells))]
     return SweepTable(cfg=cfg, rows=rows)
 
 

@@ -171,6 +171,24 @@ def ista_reference(u, Q: int, n_iter: int):
     return iterates
 
 
+def ista_projecting_reference(u, Q: int, n_iter: int):
+    """``detector.ista_detect`` for any ``u``: projects ``u`` first and adds J s at every step.
+
+    Iterates s = slice(Psi u + J s) from s = Psi u, then snaps the result
+    once more, so the library's detector must give the same decisions
+    whenever ``Psi u = u``.  Returns (hard symbols, demapped bits).
+    """
+    psi_u = apply_projector(u, Q)
+    segs = psi_u.reshape(*psi_u.shape[:-1], Q, -1)
+    s_hat = segs
+    for _ in range(n_iter):
+        mean = np.add.reduce(s_hat, axis=-2, keepdims=True)
+        mean /= Q
+        s_hat = detector.project_nearest(segs + mean)
+    s_hat = detector.project_nearest(s_hat).reshape(psi_u.shape)
+    return s_hat, detector.demap_bits(s_hat)
+
+
 def qpsk_block_from_words(words, Q: int, sigma_s2: float):
     """The (b, P Q) QPSK blocks whose sign bits ``simulate_ce_mse`` draws as ``words``.
 

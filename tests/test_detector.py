@@ -216,8 +216,10 @@ class TestEqualize:
 
 class TestIstaDetect:
     def test_zero_iterations_is_projected_init(self):
+        # the detector's input has a zero comb spectrum, as the equalizer's does
         rng = make_rng(5)
-        u = rng.standard_normal(8) + 1j * rng.standard_normal(8)   # P = 2, Q = 4
+        v = rng.standard_normal(8) + 1j * rng.standard_normal(8)   # P = 2, Q = 4
+        u = apply_projector(v, 4)
         sym, _ = ista_detect(u, 4, n_iter=0)
         np.testing.assert_array_equal(sym, project_nearest(apply_projector(u, 4)))
 
@@ -254,7 +256,9 @@ class TestIstaDetect:
         noisy = apply_projector(s, 16) + 0.4 * (rng.standard_normal((4, 128))
                                                   + 1j * rng.standard_normal((4, 128)))
         wide = rng.standard_normal((3, 256)) + 1j * rng.standard_normal((3, 256))
-        for u in [noisy, noisy[1], wide[:, ::2], noisy.real, wide.real[0, ::2]]:
+        for v in [noisy, noisy[1], wide[:, ::2], noisy.real, wide.real[0, ::2]]:
+            # the detector's input has a zero comb spectrum, as the equalizer's does
+            u = apply_projector(v, 16)
             sym, bits = ista_detect(u, 16, n_iter)
             ref = slice_reference(ista_reference(u, 16, n_iter)[-1])
             np.testing.assert_array_equal(sym, ref)

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 from dataclasses import asdict, fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,11 +18,13 @@ from ftnsim.channel import colored_noise
 from ftnsim.config import (ConfigError, FtnConfig, apply_overrides, dump_config,
                            load_config, scenario_hash)
 from ftnsim.core import dft, idft, make_rng
+from ftnsim.detector import ista_detect
 from ftnsim.harness import (build_cell, build_scenario, ebn0_to_sigma_v2,
                             emit_results, run_sweep, run_trial, simulate_ce_mse,
                             spectral_efficiency)
 from ftnsim.pilot import apply_projector
-from oracles import ce_mse_reference, qpsk_block_from_words, reference_trial
+from oracles import (ce_mse_reference, ista_projecting_reference, qpsk_block_from_words,
+                     reference_trial)
 
 FAST = dict(min_trials=20, max_trials=20, target_bit_errors=10**9,
             ebn0_grid_db=(8.0,))
@@ -246,6 +249,24 @@ class TestTrialChain:
                     got, want = run_trial(cell, i), reference_trial(cell, i)
                     assert ((got.bit_errors, got.sq_err, got.tx_power)
                             == (want.bit_errors, want.sq_err, want.tx_power)), (seed, ebn0, i)
+
+    @pytest.mark.parametrize("name", ["default", "perfect", "ls", "tau_0.9"])
+    def test_equalizer_output_meets_detector_precondition(self, name):
+        # ista_detect skips the projector on its input: the equalizer output
+        # must have a zero comb spectrum (Psi u = u), and on it the decisions
+        # must be those of the detector that projects u first
+        cfg = replace(FtnConfig(), seed=2024, **_CHAIN_CONFIGS[name])
+        scenario = build_scenario(cfg)
+        for cell_index, ebn0 in enumerate((0.0, 8.0, 16.0)):
+            cell = build_cell(scenario, ebn0_to_sigma_v2(cfg, ebn0), cell_index)
+            for i in range(200):
+                u = reference_trial(cell, i).u
+                assert np.abs(apply_projector(u, cfg.Q) - u).max() <= 1e-12 * np.abs(u).max()
+                for n_iter in (0, 1, 3, 6):
+                    sym, bits = ista_detect(u, cfg.Q, n_iter)
+                    ref_sym, ref_bits = ista_projecting_reference(u, cfg.Q, n_iter)
+                    assert np.array_equal(sym, ref_sym) and np.array_equal(bits, ref_bits), \
+                        (ebn0, i, n_iter)
 
     @pytest.mark.parametrize("name", ["default", "perfect", "ls", "tau_0.9"])
     def test_post_fde_mse_matches_conditional_mean(self, name):
@@ -556,14 +577,16 @@ class TestRunSweep:
         want = 1.96 * np.std(errors) / math.sqrt(row.trials) / (cfg.N * 2)
         assert row.ber_ci95 == pytest.approx(want, rel=1e-9)
 
-    def test_pool_no_larger_than_grid(self, monkeypatch):
+    @pytest.fixture
+    def inline_pool(self, monkeypatch):
         # a fork pool starts all max_workers processes at the first submit,
-        # so the recorder stands in for the pool and runs the cells inline
-        sizes = []
+        # so the recorder stands in for the pool and runs the cells inline,
+        # in the order they are submitted
+        log = SimpleNamespace(sizes=[], submitted=[])
 
         class Recorder:
             def __init__(self, max_workers):
-                sizes.append(max_workers)
+                log.sizes.append(max_workers)
 
             def __enter__(self):
                 return self
@@ -572,14 +595,33 @@ class TestRunSweep:
                 return False
 
             def submit(self, fn, *args):
+                log.submitted.append(args)
                 future = concurrent.futures.Future()
                 future.set_result(fn(*args))
                 return future
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        return log
+
+    def test_pool_no_larger_than_grid(self, inline_pool):
         cfg = replace(FtnConfig(), **dict(FAST, ebn0_grid_db=(4.0, 8.0)))
         assert len(run_sweep(cfg, workers=64).rows) == 2
-        assert sizes == [2]
+        assert inline_pool.sizes == [2]
+
+    def test_pool_gets_highest_ebn0_first_rows_in_grid_order(self, inline_pool):
+        cfg = replace(FtnConfig(), **dict(FAST, tau_grid=(0.8, 0.9),
+                                          ebn0_grid_db=(4.0, 16.0, 8.0)))
+        rows = run_sweep(cfg, workers=2).rows
+        # descending Eb/N0; the two taus tie at each point and keep grid order,
+        # and every cell keeps its grid index
+        assert [args[1:] for args in inline_pool.submitted] == [
+            (0.8, 16.0, 1), (0.9, 16.0, 4), (0.8, 8.0, 2), (0.9, 8.0, 5),
+            (0.8, 4.0, 0), (0.9, 4.0, 3)]
+        serial = run_sweep(cfg).rows
+        assert ([replace(r, wall_s=0.0) for r in rows]
+                == [replace(r, wall_s=0.0) for r in serial])
+        assert [(r.tau, r.ebn0_db) for r in rows] == [
+            (0.8, 4.0), (0.8, 16.0), (0.8, 8.0), (0.9, 4.0), (0.9, 16.0), (0.9, 8.0)]
 
     def test_flagged_trials_count_the_null_comb(self):
         cfg = replace(FtnConfig(), **FAST)
