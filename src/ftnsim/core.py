@@ -89,7 +89,7 @@ class _HashedSeed:
         return self._state
 
 
-def make_rng(seed, stream=0, substream=None):
+def make_rng(seed, stream=0, substream=0):
     """Deterministic, independent random stream for one Monte Carlo trial.
 
     Identical (seed, stream, substream) gives bit-identical draws; distinct
@@ -97,27 +97,25 @@ def make_rng(seed, stream=0, substream=None):
     trial separate channel / data / noise draws so that, e.g., changing the
     data power does not perturb the noise realization.
 
-    The state is the one ``np.random.default_rng(key)`` gives.  For a seed in
+    The state is the one ``np.random.default_rng([seed, stream, substream])``
+    gives.  For a seed in
     [0, 2**64) and stream and substream in [0, 2**32) it comes from a memo that
     hashes 256 consecutive streams of one (seed, substream) in one array pass;
     ``bit_generator.seed_seq`` is then no ``SeedSequence``, so ``Generator.spawn``
     raises TypeError.  Stream 256 k, the first of a block, and other keys go
     through ``default_rng``, which rejects negative ones; those generators can
-    spawn.  The library never spawns.  SeedSequence treats
-    trailing zero words as absent, so ``make_rng(seed, stream)`` equals
-    ``make_rng(seed, stream, 0)``; the library never relies on that.  It splits
+    spawn.  The library never spawns.  SeedSequence splits
     a seed >= 2**32 into its words, so ``make_rng(lo + 2**32 hi, t, 0)`` draws
     as ``make_rng(lo, hi, t)``: runs at those two seeds share some draws and are
     not fully independent, while each run on its own is unaffected.
     """
-    seed, stream = int(seed), int(stream)
-    sub = 0 if substream is None else int(substream)
+    seed, stream, sub = int(seed), int(stream), int(substream)
     # stream 256 k, often a key's only one, is not worth a 256-stream block hash
     if (0 <= seed < 2**64 and 0 < stream < _UINT32_END and stream % _BLOCK
             and 0 <= sub < _UINT32_END):
         row = _state_block(seed, stream // _BLOCK, sub)[stream % _BLOCK]
         return np.random.Generator(np.random.PCG64(_HashedSeed(row)))
-    return np.random.default_rng([seed, stream] if substream is None else [seed, stream, sub])
+    return np.random.default_rng([seed, stream, sub])
 
 
 def dft(x):

@@ -73,7 +73,7 @@ def build_scenario(cfg: FtnConfig, tau: float | None = None) -> Scenario:
     # a tau off the config's grid (simulate_ce_mse) is checked like one on it
     replace(cfg, tau=tau).validate()
     _, lambda_g = build_isi_circulant(tau, cfg.beta, cfg.nu, cfg.N)
-    x_p = pilot.chu_pilot(cfg.P, cfg.Q, pilot.sia_pilot_power(cfg.Q))
+    x_p = pilot.chu_pilot(cfg.P, cfg.Q)
     phi = phi_diag(lambda_g)
     return Scenario(cfg=cfg, tau=tau, lambda_g=read_only(lambda_g), x_p=read_only(x_p),
                     tables=chanest.build_comb_tables(lambda_g, x_p, cfg.Q),
@@ -145,11 +145,8 @@ def run_trial(cell: Cell, trial_index: int) -> TrialResult:
     z_tilde = detector.zero_pilot_bins(y_tilde, cfg.Q)
     u = detector.equalize(z_tilde, w)
 
-    if cfg.sia:
-        _, bits_hat = detector.ista_detect(u, cfg.Q, cfg.n_ista)
-    else:
-        hard = detector.project_nearest(u)
-        bits_hat = detector.demap_bits(hard)
+    # unaligned, the slice of u is the whole detector: ista_detect at 0 iterations
+    _, bits_hat = detector.ista_detect(u, cfg.Q, cfg.n_ista if cfg.sia else 0)
 
     # np.add.reduce and the divide are the ufunc calls np.sum / np.mean make
     power = np.abs(x) ** 2
@@ -313,28 +310,6 @@ def emit_results(table: SweepTable, fmt: str = "csv", path: str = "results",
     return written
 
 
-def _qpsk_fold(rng, b: int, P: int, Q: int, sigma_s2: float) -> np.ndarray:
-    """Q-fold sum_q s[q P : (q + 1) P] of b uniform QPSK blocks of length P Q, as (b, P).
-
-    Under uniform Gray labels each component's sign is a fair bit, so a
-    component of the fold is a (Q - 2 * popcount) over Q independent bits,
-    a = sqrt(sigma_s2 / 2) at the data power ``simulate_ce_mse`` sweeps:
-    exactly the distribution of the full-band fold.
-    The bits come as ceil(Q / 64) uint64 words per (trial, component,
-    position): bit q mod 64 of word q // 64 of (c, p) is the sign (1 =
-    negative) of component c (0 real, 1 imaginary) of symbol q P + p.
-    """
-    words = rng.integers(0, 2**64, size=(b, 2, P, -(-Q // 64)), dtype=np.uint64)
-    if Q % 64:
-        words[..., -1] &= np.uint64((1 << Q % 64) - 1)
-    ones = np.add.reduce(np.bitwise_count(words), axis=-1)
-    a = math.sqrt(sigma_s2 / 2.0)
-    fold = np.empty((b, P), complex)
-    fold.real = a * (Q - 2.0 * ones[:, 0])
-    fold.imag = a * (Q - 2.0 * ones[:, 1])
-    return fold
-
-
 def simulate_ce_mse(cfg: FtnConfig, tau: float, sigma_v2: float, n_trials: int,
                     criteria=("ls", "mmse"), sigma_s2: float = 1.0,
                     seed: int | None = None):
@@ -356,12 +331,13 @@ def simulate_ce_mse(cfg: FtnConfig, tau: float, sigma_v2: float, n_trials: int,
     compose_tx(fold_Q s, fold_Q x_p, 1), because the fold of Psi s is 0.
     With alignment on the data term is exactly 0, so no data is drawn: the
     data substream is keyed but unused, and the results do not depend on
-    ``sigma_s2``.  With alignment off the data is drawn as its Q-fold
-    (``_qpsk_fold``).  The noise is drawn on the comb only: the unitary DFT
+    ``sigma_s2``.  With alignment off the (b, N) unit-power QPSK blocks are
+    drawn as ``run_trial`` draws them and folded, then scaled to ``sigma_s2``.
+    The noise is drawn on the comb only: the unitary DFT
     of white CN(0, I) noise is white CN(0, I), so a (b, P) draw scaled by
     the comb's noise factor has exactly the distribution of the full-band
-    noise spectrum's comb.  The channel draws are those of the full-band
-    chain; the data and noise draws are not, so results match it in
+    noise spectrum's comb.  The channel and data draws are those of the
+    full-band chain; the noise draws are not, so results match it in
     distribution only.
     """
     for crit in criteria:
@@ -399,7 +375,12 @@ def simulate_ce_mse(cfg: FtnConfig, tau: float, sigma_v2: float, n_trials: int,
 
         # aligned, the data's fold is annihilated, so none is drawn; the
         # (b, P) broadcast keeps the FFTs on their 2-d path, bit for bit
-        s_fold = np.zeros(P) if cfg.sia else _qpsk_fold(rng_s, b, P, Q, sigma_s2)
+        if cfg.sia:
+            s_fold = np.zeros(P)
+        else:
+            s = detector.map_bits(_qpsk_bits(rng_s, b * cfg.N)).reshape(b, Q, P)
+            s_fold = np.add.reduce(s, axis=1)
+            s_fold *= math.sqrt(sigma_s2)
         x_fold = np.broadcast_to(pilot.compose_tx(s_fold, x_p_fold, 1, cfg.sia), (b, P))
         comb = dft(circulant_matvec(lam, x_fold))
         comb /= math.sqrt(Q)

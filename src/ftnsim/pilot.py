@@ -13,23 +13,19 @@ from __future__ import annotations
 import numpy as np
 
 
-def sia_pilot_power(Q: int) -> float:
-    """Rebalanced pilot power per symbol under alignment, for unit-power data: 1 - 1/Q."""
-    return 1.0 - 1.0 / Q
+def chu_pilot(P: int, Q: int) -> np.ndarray:
+    """Q-fold repetition of one length-P Chu sequence, at per-symbol power 1 - 1/Q.
 
-
-def chu_pilot(P: int, Q: int, sigma_p2: float) -> np.ndarray:
-    """Q-fold repetition of one length-P Chu sequence, scaled to per-symbol power sigma_p2.
-
-    The sequence is root-1 Chu (unit modulus, flat DFT magnitude).  With
-    alignment on, sigma_p2 follows the rebalancing rule ``sia_pilot_power``.
+    The sequence is root-1 Chu (unit modulus, flat DFT magnitude).  The power
+    is the rebalancing rule under alignment for unit-power data: the pilot
+    carries the power the projector leaves on the data, 1 - 1/Q.
     """
     n = np.arange(P)
     if P % 2 == 0:
         phase = np.pi * n**2 / P
     else:
         phase = np.pi * n * (n + 1) / P
-    return np.tile(np.sqrt(sigma_p2) * np.exp(1j * phase), Q)
+    return np.tile(np.sqrt(1 - 1 / Q) * np.exp(1j * phase), Q)
 
 
 def _segment_mean(v, Q: int):

@@ -189,35 +189,21 @@ def ista_projecting_reference(u, Q: int, n_iter: int):
     return s_hat, detector.demap_bits(s_hat)
 
 
-def qpsk_block_from_words(words, Q: int, sigma_s2: float):
-    """The (b, P Q) QPSK blocks whose sign bits ``simulate_ce_mse`` draws as ``words``.
-
-    ``words`` is (b, 2, P, W) uint64; bit q mod 64 of word q // 64 of
-    (c, p) is the sign (1 = negative) of component c (0 real, 1 imaginary)
-    of symbol q P + p.  Bits at q >= Q are ignored.
-    """
-    b, _, P, _ = words.shape
-    bits = np.stack([(words[..., q // 64] >> np.uint64(q % 64)) & np.uint64(1)
-                     for q in range(Q)], axis=1)          # (b, Q, 2, P)
-    signs = 1.0 - 2.0 * bits
-    a = np.sqrt(sigma_s2 / 2.0)
-    return (a * (signs[:, :, 0] + 1j * signs[:, :, 1])).reshape(b, Q * P)
-
-
 def ce_mse_reference(cfg, tau: float, sigma_v2: float, n_trials: int,
                      criteria=("ls", "mmse"), sigma_s2: float = 1.0,
                      seed: int | None = None):
     """``harness.simulate_ce_mse`` through the full band: all N bins, then the comb.
 
     Same chunks (``harness._CE_CHUNK``, read at call time), RNG keys and
-    draws as the library, but the whole (b, N) QPSK block is built from the
-    data words, composed with the full pilot, and its signal spectrum is
+    draws as the library, but the whole (b, N) QPSK block is built from
+    ``integers(0, 2, 2 N b)`` with its own Gray table (drawn with alignment on
+    too), composed with the full pilot, and its signal spectrum is
     formed on every bin as dft(Theta x) before the comb is taken.  The noise
     is drawn on the comb, as the library draws it.
     """
     seed = cfg.seed if seed is None else seed
     scenario = harness.build_scenario(cfg, tau)
-    n, L, P, Q = cfg.N, cfg.L, cfg.P, cfg.Q
+    n, L, Q = cfg.N, cfg.L, cfg.Q
     errs = {c: [] for c in criteria}
     done = chunk_idx = 0
     while done < n_trials:
@@ -227,8 +213,9 @@ def ce_mse_reference(cfg, tau: float, sigma_v2: float, n_trials: int,
         rng_w = make_rng(seed, chunk_idx, harness._SUB_NOISE)
         h = complex_gaussian((b, L), 1.0 / L, rng_h)
         h /= np.linalg.norm(h, axis=1, keepdims=True)
-        words = rng_s.integers(0, 2**64, size=(b, 2, P, -(-Q // 64)), dtype=np.uint64)
-        s = qpsk_block_from_words(words, Q, sigma_s2)
+        pairs = rng_s.integers(0, 2, 2 * n * b).reshape(-1, 2)
+        gray = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
+        s = (np.sqrt(sigma_s2 / 2.0) * gray)[2 * pairs[:, 0] + pairs[:, 1]].reshape(b, n)
         x = pilot.compose_tx(s, scenario.x_p, Q, cfg.sia)
         y_tilde = dft(circulant_matvec((h @ dft_rows(L, n)) * scenario.lambda_g, x))
         comb = y_tilde[:, ::Q] + colored_noise(scenario.noise_factor[::Q], sigma_v2,

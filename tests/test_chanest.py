@@ -12,7 +12,7 @@ from ftnsim.channel import colored_noise, sample_channel, tap_power, transmit_fa
 from ftnsim.config import FtnConfig
 from ftnsim.core import dft, make_rng
 from ftnsim.harness import build_cell, build_scenario, ebn0_to_sigma_v2, simulate_ce_mse
-from ftnsim.pilot import chu_pilot, compose_tx, sia_pilot_power
+from ftnsim.pilot import chu_pilot, compose_tx
 from ftnsim.waveform import build_isi_circulant
 
 
@@ -261,7 +261,7 @@ class TestInterferenceProperties:
     def test_unbiased_noise_free_chain(self):
         # exact recovery for any L <= P
         _, lambda_g = build_isi_circulant(tau=0.9, beta=0.5, nu=8, N=64)
-        x_p = chu_pilot(8, 8, sia_pilot_power(8))
+        x_p = chu_pilot(8, 8)
         tables = build_comb_tables(lambda_g, x_p, 8)
         for L in (1, 3, 8):
             h, lambda_h = sample_channel(L, 64, make_rng(20 + L))

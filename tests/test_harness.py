@@ -23,8 +23,7 @@ from ftnsim.harness import (build_cell, build_scenario, ebn0_to_sigma_v2,
                             emit_results, run_sweep, run_trial, simulate_ce_mse,
                             spectral_efficiency)
 from ftnsim.pilot import apply_projector
-from oracles import (ce_mse_reference, ista_projecting_reference, qpsk_block_from_words,
-                     reference_trial)
+from oracles import ce_mse_reference, ista_projecting_reference, reference_trial
 
 FAST = dict(min_trials=20, max_trials=20, target_bit_errors=10**9,
             ebn0_grid_db=(8.0,))
@@ -250,6 +249,19 @@ class TestTrialChain:
                     assert ((got.bit_errors, got.sq_err, got.tx_power)
                             == (want.bit_errors, want.sq_err, want.tx_power)), (seed, ebn0, i)
 
+    def test_alignment_off_ignores_n_ista(self):
+        # unaligned, the detector is the slice of u alone (ista_detect at 0
+        # iterations), so n_ista must change no trial
+        cfg = replace(FtnConfig(), sia=False)
+        for cell_index, ebn0 in enumerate((0.0, 8.0, 16.0)):
+            runs = []
+            for n_ista in (0, 3, 6):
+                scenario = build_scenario(replace(cfg, n_ista=n_ista))
+                cell = build_cell(scenario, ebn0_to_sigma_v2(cfg, ebn0), cell_index)
+                results = [run_trial(cell, i) for i in range(50)]
+                runs.append([(r.bit_errors, r.sq_err, r.tx_power) for r in results])
+            assert runs[0] == runs[1] == runs[2], ebn0
+
     @pytest.mark.parametrize("name", ["default", "perfect", "ls", "tau_0.9"])
     def test_equalizer_output_meets_detector_precondition(self, name):
         # ista_detect skips the projector on its input: the equalizer output
@@ -393,7 +405,7 @@ class TestSimulateCeMse:
 
     @pytest.mark.parametrize("sia", [True, False])
     def test_matches_full_band_reference_past_one_word(self, sia):
-        # Q = 65 takes two data words per (component, position), the second masked
+        # an odd Q, longer than one 64-bit word, with P = L = 2
         cfg = FtnConfig(P=2, Q=65, L=2, sia=sia)
         sv2 = ebn0_to_sigma_v2(cfg, 8.0)
         got = simulate_ce_mse(cfg, 0.8, sv2, 300, seed=5)
@@ -408,47 +420,22 @@ class TestSimulateCeMse:
         aligned = {s2: simulate_ce_mse(cfg, 0.8, 0.1, 250, sigma_s2=s2)
                    for s2 in (0.0, 1.0, 4.0)}
         calls = []
-        real_fold = harness._qpsk_fold
+        real_bits = harness._qpsk_bits
 
         def refuse(*args):
             raise AssertionError("the aligned chain drew data")
 
         def counted(*args):
             calls.append(args[1])
-            return real_fold(*args)
+            return real_bits(*args)
 
-        monkeypatch.setattr(harness, "_qpsk_fold", refuse)
+        monkeypatch.setattr(harness, "_qpsk_bits", refuse)
         for s2 in (0.0, 1.0, 4.0):
             assert simulate_ce_mse(cfg, 0.8, 0.1, 250, sigma_s2=s2) == aligned[s2]
         assert aligned[0.0] == aligned[1.0] == aligned[4.0]
-        monkeypatch.setattr(harness, "_qpsk_fold", counted)
+        monkeypatch.setattr(harness, "_qpsk_bits", counted)
         simulate_ce_mse(replace(cfg, sia=False), 0.8, 0.1, 250)
-        assert calls == [100, 100, 50]
-
-    @pytest.mark.parametrize("Q", [2, 16, 64, 65, 128])
-    def test_qpsk_fold_is_the_fold_of_the_drawn_block(self, Q):
-        P, b = 4, 50
-        fold = harness._qpsk_fold(make_rng(3, Q), b, P, Q, 3.0)
-        words = make_rng(3, Q).integers(0, 2**64, size=(b, 2, P, -(-Q // 64)),
-                                        dtype=np.uint64)
-        block = qpsk_block_from_words(words, Q, 3.0)
-        np.testing.assert_allclose(fold, block.reshape(b, Q, P).sum(axis=1),
-                                   rtol=1e-13, atol=1e-13 * Q)
-
-    @pytest.mark.parametrize("Q", [2, 16, 64, 65, 128])
-    def test_qpsk_fold_moments_and_support(self, Q):
-        # each component is a (Q - 2 Binomial(Q, 1/2)): mean 0, variance
-        # Q sigma_s2 / 2 = Q a^2, fourth moment a^4 (3 Q^2 - 2 Q)
-        sigma_s2, b, P = 3.0, 20_000, 8
-        a = math.sqrt(sigma_s2 / 2)
-        fold = harness._qpsk_fold(make_rng(11, Q), b, P, Q, sigma_s2)
-        comps = fold.view(np.float64).ravel() / a
-        levels = np.rint(comps)
-        np.testing.assert_allclose(comps, levels, rtol=0, atol=1e-12 * Q)
-        assert np.abs(levels).max() <= Q and np.all((levels + Q) % 2 == 0)
-        n = comps.size
-        assert abs(comps.mean()) < 5 * math.sqrt(Q / n)
-        assert abs(np.mean(comps**2) - Q) < 5 * math.sqrt((2 * Q**2 - 2 * Q) / n)
+        assert calls == [100 * cfg.N, 100 * cfg.N, 50 * cfg.N]
 
     def test_no_full_length_transform_per_chunk(self, monkeypatch):
         # the whole chain, noise included, is on the P comb bins;

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from ftnsim.config import ConfigError, FtnConfig
 from ftnsim.core import dft, make_rng
 from ftnsim.detector import ista_detect
-from ftnsim.pilot import apply_projector, chu_pilot, compose_tx, sia_pilot_power
+from ftnsim.pilot import apply_projector, chu_pilot, compose_tx
 from oracles import cyclic_mean, projector_dense
 
 # projector geometry and pilot power of the default config: N = P * Q
 P, Q = 8, 16
 N = P * Q
-SIGMA_P2 = sia_pilot_power(Q)
+SIGMA_P2 = 1 - 1 / Q
 
 
 def qpsk_block(rng, n):
@@ -24,7 +24,7 @@ def qpsk_block(rng, n):
 
 @pytest.fixture
 def x_p():
-    return chu_pilot(P, Q, SIGMA_P2)
+    return chu_pilot(P, Q)
 
 
 class TestChuPilot:
@@ -45,7 +45,7 @@ class TestChuPilot:
         assert (mags.max() - mags.min()) / mags.mean() < 1e-10
 
     def test_odd_period_flat_dft(self):
-        mags = np.abs(dft(chu_pilot(7, 4, 1.0))[::4])
+        mags = np.abs(dft(chu_pilot(7, 4))[::4])
         assert (mags.max() - mags.min()) / mags.mean() < 1e-10
 
     def test_q1_with_sia_rejected(self):
