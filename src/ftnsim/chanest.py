@@ -2,9 +2,11 @@
 
 The estimator sees the P comb bins k = iQ of the received spectrum, where
 the known quantity gamma_i = lambda_g[iQ] * pilot_fd[iQ] multiplies the
-unknown FD channel response d_i = lambda_h[iQ].  Taps are recovered by a
-scaled partial IDFT, and the full-band response for equalization by a
-zero-padded DFT of the taps; both are small DFT-matrix products.
+unknown FD channel response d_i = lambda_h[iQ].  Both criteria weigh each
+comb bin by a diagonal Wiener weight: LS, Gamma^{-1} y', is that weight at
+zero noise (``ce_weights``).  Taps are recovered by a scaled partial IDFT,
+and the full-band response for equalization by a zero-padded DFT of the
+taps; both are small DFT-matrix products.
 
 With alignment active the data contributes exactly nothing on the comb, so
 the closed forms below are exact for the circulant noise model (the comb
@@ -77,14 +79,8 @@ def extract_comb(y_tilde, Q: int):
     return y_tilde[..., ::Q]
 
 
-def ce_ls(y_prime, tables: CombTables):
-    """Least-squares comb estimate d_hat = Gamma^{-1} y'."""
-    tables.check_conditioning()
-    return np.asarray(y_prime) / tables.gamma
-
-
 def mmse_weights(tables: CombTables, sigma_v2: float, sigma_h2: float) -> np.ndarray:
-    """Diagonal MMSE weights for the comb estimate.
+    """Diagonal MMSE weights for the comb estimate; at ``sigma_v2 = 0`` they are LS's 1 / gamma.
 
     Derived from the prior R_d = sigma_h2 * P * I, which gives the
     regularizer sigma_v2 / (sigma_h2 * P); note the published simplified
@@ -97,8 +93,22 @@ def mmse_weights(tables: CombTables, sigma_v2: float, sigma_h2: float) -> np.nda
     return wiener_weights(tables.gamma, rho, tables.phi_prime)
 
 
+def ce_weights(tables: CombTables, sigma_v2: float, L: int, criterion: str) -> np.ndarray:
+    """Comb weights of the LS or MMSE estimator at noise ``sigma_v2``, prior ``tap_power(L)``.
+
+    LS is the MMSE weight at zero noise, 1 / gamma, and it raises
+    IllConditionedCombError on a comb bin in a deep spectral null.
+    """
+    if criterion not in ("ls", "mmse"):
+        raise ValueError(f"unknown CE criterion {criterion!r}")
+    if criterion == "ls":
+        tables.check_conditioning()
+        sigma_v2 = 0.0
+    return mmse_weights(tables, sigma_v2, tap_power(L))
+
+
 def ce_mmse(y_prime, weights):
-    """MMSE comb estimate with a cell's ``mmse_weights``; LS in the limit sigma_v2 -> 0."""
+    """Comb estimate d_hat = W y' with diagonal ``ce_weights`` W, LS or MMSE."""
     return weights * np.asarray(y_prime)
 
 
@@ -109,22 +119,21 @@ def fd_to_td(d_hat, L: int):
     return d_hat @ idft_cols(d_hat.shape[-1], L)
 
 
-def estimate_channel(y_tilde, tables: CombTables, L: int, mmse_w=None):
-    """Full chain: comb extraction -> LS (no ``mmse_w``) or MMSE weights -> taps -> full band.
+def estimate_channel(y_tilde, tables: CombTables, L: int, weights):
+    """Full chain: comb extraction -> comb ``weights`` (``ce_weights``) -> taps -> full band.
 
     Returns (h_hat, lambda_eq): the L recovered taps and the FD response
     lambda_eq[k] = sum_l h_hat_l e^{-j 2 pi k l / N} that the FDE uses.
     """
     y_prime = extract_comb(y_tilde, tables.Q)
-    d_hat = ce_ls(y_prime, tables) if mmse_w is None else ce_mmse(y_prime, mmse_w)
-    h_hat = fd_to_td(d_hat, L)
+    h_hat = fd_to_td(ce_mmse(y_prime, weights), L)
     return h_hat, h_hat @ dft_rows(L, np.shape(y_tilde)[-1])
 
 
 def theoretical_mse_ls(tables: CombTables, L: int, sigma_v2: float) -> float:
     """Closed-form tap MSE of the LS comb estimator (alignment active).
 
-    (L sigma_v2 / P^2) * Tr{Gamma^{-1} Phi' Gamma^{-H}}.  Like ``ce_ls``, it
+    (L sigma_v2 / P^2) * Tr{Gamma^{-1} Phi' Gamma^{-H}}.  Like ``ce_weights`` for LS, it
     raises IllConditionedCombError on a comb bin in a deep spectral null.
     """
     tables.check_conditioning()

@@ -17,8 +17,7 @@ import os
 import sys
 
 from . import harness
-from .chanest import (IllConditionedCombError, theoretical_mse_ls,
-                      theoretical_mse_mmse)
+from .chanest import IllConditionedCombError
 from .config import ConfigError, dump_config, load_config
 
 EXIT_OK = 0
@@ -93,14 +92,14 @@ def cmd_mse_theory(args):
         scenario = harness.build_scenario(cfg, tau)
         for ebn0 in cfg.ebn0_grid_db:
             sv2 = harness.ebn0_to_sigma_v2(cfg, ebn0, tau)
-            ls = mm = ""
-            if cfg.sia:
-                # an ill-conditioned comb leaves mse_ls empty; MMSE stays finite there
-                try:
-                    ls = f"{theoretical_mse_ls(scenario.tables, cfg.L, sv2):.17g}"
-                except IllConditionedCombError as exc:
-                    failure = exc
-                mm = f"{theoretical_mse_mmse(scenario.tables, cfg.L, sv2):.17g}"
+            # an ill-conditioned comb leaves mse_ls empty; MMSE stays finite there
+            ls = None
+            try:
+                ls = harness.theory_mse(scenario, sv2, "ls")
+            except IllConditionedCombError as exc:
+                failure = exc
+            mm = harness.theory_mse(scenario, sv2, "mmse")
+            ls, mm = ("" if v is None else f"{v:.17g}" for v in (ls, mm))
             lines.append(f"{tau:.17g},{ebn0:.17g},{sv2:.17g},{ls},{mm}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -30,6 +30,8 @@ _BITS_PER_SYMBOL = 2  # QPSK, the only modulation the config accepts
 
 # trials per vectorized block (and per RNG key) in simulate_ce_mse
 _CE_CHUNK = 20_000
+# QPSK symbols drawn at a time by an unaligned simulate_ce_mse chunk
+_DATA_SLICE = 2**17
 
 
 def spectral_efficiency(cfg: FtnConfig, tau: float | None = None) -> float:
@@ -87,15 +89,18 @@ class Cell:
     scenario: Scenario
     sigma_v2: float
     first_stream: int                               # RNG stream of trial 0
-    mmse_w: np.ndarray | None = field(repr=False)   # CE comb weights; None for LS and perfect
+    ce_w: np.ndarray | None = field(repr=False)     # CE comb weights; None for perfect CSI
 
 
 def build_cell(scenario: Scenario, sigma_v2: float, cell_index: int = 0) -> Cell:
-    """The cell at ``sigma_v2``; trial i draws from stream ``cell_index * max_trials + i``."""
+    """The cell at ``sigma_v2``; trial i draws from stream ``cell_index * max_trials + i``.
+
+    An LS cell on an ill-conditioned comb raises IllConditionedCombError here.
+    """
     cfg = scenario.cfg
-    mmse_w = (read_only(chanest.mmse_weights(scenario.tables, sigma_v2, tap_power(cfg.L)))
-              if cfg.ce_criterion == "mmse" else None)
-    return Cell(scenario, sigma_v2, cell_index * cfg.max_trials, mmse_w)
+    ce_w = (None if cfg.ce_criterion == "perfect" else
+            read_only(chanest.ce_weights(scenario.tables, sigma_v2, cfg.L, cfg.ce_criterion)))
+    return Cell(scenario, sigma_v2, cell_index * cfg.max_trials, ce_w)
 
 
 def _qpsk_bits(rng, n_symbols: int) -> np.ndarray:
@@ -136,7 +141,7 @@ def run_trial(cell: Cell, trial_index: int) -> TrialResult:
         lambda_eq = lambda_h
         sq_err = 0.0
     else:
-        h_hat, lambda_eq = chanest.estimate_channel(y_tilde, scenario.tables, cfg.L, cell.mmse_w)
+        h_hat, lambda_eq = chanest.estimate_channel(y_tilde, scenario.tables, cfg.L, cell.ce_w)
         sq_err = float(np.add.reduce(np.abs(h - h_hat) ** 2))
 
     # the noise-to-signal ratio at unit data power; alignment scales both
@@ -181,12 +186,12 @@ class SweepTable:
     rows: list
 
 
-def _theory_mse(scenario: Scenario, sigma_v2: float):
-    """Closed-form CE MSE where the interference-free derivation applies."""
+def theory_mse(scenario: Scenario, sigma_v2: float, criterion: str):
+    """Closed-form CE MSE of ``criterion``; None for perfect CSI and with alignment off."""
     cfg = scenario.cfg
-    if not cfg.sia or cfg.ce_criterion == "perfect":
+    if not cfg.sia or criterion == "perfect":
         return None
-    if cfg.ce_criterion == "ls":
+    if criterion == "ls":
         return chanest.theoretical_mse_ls(scenario.tables, cfg.L, sigma_v2)
     return chanest.theoretical_mse_mmse(scenario.tables, cfg.L, sigma_v2)
 
@@ -229,7 +234,8 @@ def run_cell(cfg: FtnConfig, tau: float, ebn0_db: float, cell_index: int) -> Swe
         scenario_hash=scenario_hash(cfg), tau=tau, ebn0_db=ebn0_db,
         snr_db=float(_snr_db(cfg, ebn0_db, tau)), trials=trials, bit_errors=bit_errors,
         ber=ber, ber_ci95=1.96 * errors_se / bits_per_trial, mse_sim=mse,
-        mse_ci95=1.96 * mse_se, mse_theory=_theory_mse(scenario, cell.sigma_v2),
+        mse_ci95=1.96 * mse_se,
+        mse_theory=theory_mse(scenario, cell.sigma_v2, cfg.ce_criterion),
         measured_tx_power=power_sum / trials,
         wall_s=time.perf_counter() - t0,
         # only a cell that estimates the channel reads the comb
@@ -315,11 +321,11 @@ def simulate_ce_mse(cfg: FtnConfig, tau: float, sigma_v2: float, n_trials: int,
                     seed: int | None = None):
     """Vectorized CE-only Monte Carlo through the transmit chain, formed on the comb only.
 
-    Runs every requested estimator on the same channel / data / noise
-    realizations and returns {criterion: (mse_mean, mse_stderr)}.  Channel,
-    data, and noise use independent substreams per chunk, so the noise (and
-    channel) realizations are matched across different data powers
-    ``sigma_s2``; the pilot keeps the config's power 1 - 1/Q at each.
+    Runs every requested estimator, each named once, on the same channel /
+    data / noise realizations and returns {criterion: (mse_mean, mse_stderr)}.
+    Channel, data, and noise use independent substreams per chunk, so the
+    noise (and channel) realizations are matched across different data
+    powers ``sigma_s2``; the pilot keeps the config's power 1 - 1/Q at each.
 
     CE reads only the P comb bins k = iQ, so only those are formed.  The
     comb of the unitary N-point spectrum is the unitary P-point DFT of the
@@ -332,7 +338,8 @@ def simulate_ce_mse(cfg: FtnConfig, tau: float, sigma_v2: float, n_trials: int,
     With alignment on the data term is exactly 0, so no data is drawn: the
     data substream is keyed but unused, and the results do not depend on
     ``sigma_s2``.  With alignment off the (b, N) unit-power QPSK blocks are
-    drawn as ``run_trial`` draws them and folded, then scaled to ``sigma_s2``.
+    drawn as ``run_trial`` draws them, ``_DATA_SLICE`` symbols at a time, and
+    folded, then scaled to ``sigma_s2``.
     The noise is drawn on the comb only: the unitary DFT
     of white CN(0, I) noise is white CN(0, I), so a (b, P) draw scaled by
     the comb's noise factor has exactly the distribution of the full-band
@@ -340,9 +347,9 @@ def simulate_ce_mse(cfg: FtnConfig, tau: float, sigma_v2: float, n_trials: int,
     full-band chain; the noise draws are not, so results match it in
     distribution only.
     """
-    for crit in criteria:
-        if crit not in ("ls", "mmse"):
-            raise ValueError(f"unknown CE criterion {crit!r}")
+    # a repeated criterion would pool its errors twice
+    if not criteria or len(set(criteria)) != len(criteria):
+        raise ValueError(f"need distinct CE criteria, got {tuple(criteria)!r}")
     if n_trials < 1:
         raise ValueError(f"need n_trials >= 1, got {n_trials}")
     # the comparisons are False for NaN, so it is rejected too
@@ -357,7 +364,10 @@ def simulate_ce_mse(cfg: FtnConfig, tau: float, sigma_v2: float, n_trials: int,
     x_p_fold = np.add.reduce(scenario.x_p.reshape(Q, P), axis=0)
     noise_comb = chanest.extract_comb(scenario.noise_factor, Q)
 
-    mmse_w = chanest.mmse_weights(scenario.tables, sigma_v2, tap_power(L))
+    # one (criteria, 1, P) stack weighs the comb for every criterion in one
+    # product; LS raises on an ill-conditioned comb here, before any draw
+    weights = np.stack([chanest.ce_weights(scenario.tables, sigma_v2, L, c)
+                        for c in criteria])[:, None]
     sums = {c: 0.0 for c in criteria}
     sumsqs = {c: 0.0 for c in criteria}
     done = 0
@@ -374,24 +384,27 @@ def simulate_ce_mse(cfg: FtnConfig, tau: float, sigma_v2: float, n_trials: int,
         lam *= scenario.lambda_g[::Q]
 
         # aligned, the data's fold is annihilated, so none is drawn; the
-        # (b, P) broadcast keeps the FFTs on their 2-d path, bit for bit
+        # (b, P) broadcast keeps the FFTs on their 2-d path, bit for bit.
+        # Unaligned, the blocks are drawn a slice of trials at a time: PCG64's
+        # raw words run on across calls, so the draws are those of one call
         if cfg.sia:
             s_fold = np.zeros(P)
         else:
-            s = detector.map_bits(_qpsk_bits(rng_s, b * cfg.N)).reshape(b, Q, P)
-            s_fold = np.add.reduce(s, axis=1)
+            s_fold = np.empty((b, P), complex)
+            step = max(1, _DATA_SLICE // cfg.N)
+            for lo in range(0, b, step):
+                n = min(step, b - lo)
+                s = detector.map_bits(_qpsk_bits(rng_s, n * cfg.N)).reshape(n, Q, P)
+                np.add.reduce(s, axis=1, out=s_fold[lo:lo + n])
             s_fold *= math.sqrt(sigma_s2)
         x_fold = np.broadcast_to(pilot.compose_tx(s_fold, x_p_fold, 1, cfg.sia), (b, P))
         comb = dft(circulant_matvec(lam, x_fold))
         comb /= math.sqrt(Q)
         comb += colored_noise(noise_comb, sigma_v2, rng_w, trials=b)
 
-        for crit in criteria:
-            if crit == "ls":
-                d_hat = chanest.ce_ls(comb, scenario.tables)
-            else:
-                d_hat = chanest.ce_mmse(comb, mmse_w)
-            h_hat = chanest.fd_to_td(d_hat, L)
+        d_hat = chanest.ce_mmse(comb, weights)
+        for k, crit in enumerate(criteria):
+            h_hat = chanest.fd_to_td(d_hat[k], L)
             errs = np.sum(np.abs(h - h_hat) ** 2, axis=1)
             sums[crit] += float(errs.sum())
             sumsqs[crit] += float(np.sum(errs**2))

@@ -222,7 +222,8 @@ def ce_mse_reference(cfg, tau: float, sigma_v2: float, n_trials: int,
                                                rng_w, trials=b)
         for crit in criteria:
             if crit == "ls":
-                d_hat = chanest.ce_ls(comb, scenario.tables)
+                scenario.tables.check_conditioning()
+                d_hat = comb / scenario.tables.gamma
             else:
                 w = chanest.mmse_weights(scenario.tables, sigma_v2, 1.0 / L)
                 d_hat = chanest.ce_mmse(comb, w)
@@ -288,7 +289,7 @@ def reference_trial(cell, trial_index: int):
     if cfg.ce_criterion == "perfect":
         lambda_eq, sq_err = lambda_h, 0.0
     else:
-        h_hat, lambda_eq = chanest.estimate_channel(y_tilde, scenario.tables, cfg.L, cell.mmse_w)
+        h_hat, lambda_eq = chanest.estimate_channel(y_tilde, scenario.tables, cfg.L, cell.ce_w)
         sq_err = float(np.add.reduce(np.abs(h - h_hat) ** 2))
     w = detector.fde_weights(lambda_eq, scenario.lambda_g, scenario.phi_diag, sigma_v2)
     z_tilde = detector.zero_pilot_bins(y_tilde, cfg.Q)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from ftnsim.channel import sample_channel, transmit_fast
-from ftnsim.chanest import (estimate_channel, theoretical_mse_ls,
+from ftnsim.chanest import (ce_weights, estimate_channel, theoretical_mse_ls,
                             theoretical_mse_mmse)
 from ftnsim.config import FtnConfig
 from ftnsim.core import circulant_matvec, complex_gaussian, dft, idft, make_rng
@@ -165,7 +165,8 @@ def test_criterion_5_exact_chain_closures(report):
     h, lambda_h = sample_channel(8, 128, make_rng(52))
     x = compose_tx(np.zeros(128, complex), scenario.x_p, scenario.cfg.Q, scenario.cfg.sia)
     y_fd = transmit_fast(dft(x), lambda_h, scenario.lambda_g)
-    h_hat, _ = estimate_channel(y_fd, scenario.tables, 8)
+    ls_w = ce_weights(scenario.tables, 0.0, 8, "ls")
+    h_hat, _ = estimate_channel(y_fd, scenario.tables, 8, ls_w)
     checks.append(("CE recovery", float(np.linalg.norm(h_hat - h)), 1e-9))
 
     rng = make_rng(53)

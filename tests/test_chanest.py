@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from ftnsim import chanest
-from ftnsim.chanest import (IllConditionedCombError, build_comb_tables, ce_ls,
-                            ce_mmse, estimate_channel, extract_comb, fd_to_td,
+from ftnsim.chanest import (IllConditionedCombError, build_comb_tables, ce_mmse,
+                            ce_weights, estimate_channel, extract_comb, fd_to_td,
                             mmse_weights, theoretical_mse_ls, theoretical_mse_mmse)
 from ftnsim.channel import colored_noise, sample_channel, tap_power, transmit_fast
 from ftnsim.config import FtnConfig
@@ -29,6 +29,10 @@ def received_fd(scenario, lambda_h, rng, sigma_v2=0.0):
     if sigma_v2 > 0:
         noise = colored_noise(scenario.noise_factor, sigma_v2, rng)
     return transmit_fast(dft(x), lambda_h, scenario.lambda_g, noise=noise)
+
+
+def ls_weights(tables, L=8):
+    return ce_weights(tables, 0.1, L, "ls")
 
 
 class TestExtractComb:
@@ -58,25 +62,41 @@ class TestLs:
     def test_noise_free_exact(self, scenario):
         _, lambda_h = sample_channel(8, 128, make_rng(1))
         y_fd = received_fd(scenario, lambda_h, make_rng(2))
-        d_hat = ce_ls(extract_comb(y_fd, 16), scenario.tables)
+        d_hat = ce_mmse(extract_comb(y_fd, 16), ls_weights(scenario.tables))
         np.testing.assert_allclose(d_hat, lambda_h[::16], atol=1e-10)
 
     def test_flat_channel(self, scenario):
         y_fd = received_fd(scenario, np.ones(128, complex), make_rng(4))
-        d_hat = ce_ls(extract_comb(y_fd, 16), scenario.tables)
+        d_hat = ce_mmse(extract_comb(y_fd, 16), ls_weights(scenario.tables))
         np.testing.assert_allclose(d_hat, np.ones(8), atol=1e-10)
 
     def test_full_chain_recovery(self, scenario):
         h, lambda_h = sample_channel(8, 128, make_rng(5))
         y_fd = received_fd(scenario, lambda_h, make_rng(6))
-        h_hat, _ = estimate_channel(y_fd, scenario.tables, 8)
+        h_hat, _ = estimate_channel(y_fd, scenario.tables, 8, ls_weights(scenario.tables))
         assert np.linalg.norm(h_hat - h) < 1e-9
 
     def test_null_comb_rejected(self):
         tables = chanest.CombTables(Q=4, gamma=np.array([1, 1, 1e-9, 1.0]),
                                     phi_prime=np.ones(4))
         with pytest.raises(IllConditionedCombError):
-            ce_ls(np.ones(4), tables)
+            ls_weights(tables, L=4)
+        # MMSE weighs the same comb, and is not rejected
+        assert np.isfinite(ce_weights(tables, 0.1, 4, "mmse")).all()
+
+    def test_unknown_criterion_rejected(self, scenario):
+        for crit in ("perfect", "lss"):
+            with pytest.raises(ValueError, match="unknown CE criterion"):
+                ce_weights(scenario.tables, 0.1, 8, crit)
+
+    def test_ls_cell_on_null_comb_raises_at_set_up(self):
+        # tau=0.5, beta=1.0 puts a comb bin on the FTN spectral null: an LS
+        # cell raises when it is built, an MMSE cell weighs the bin 0
+        scenario = build_scenario(FtnConfig(tau=0.5, beta=1.0, ce_criterion="ls"))
+        with pytest.raises(IllConditionedCombError):
+            build_cell(scenario, 0.1)
+        cell = build_cell(build_scenario(FtnConfig(tau=0.5, beta=1.0)), 0.1)
+        assert cell.ce_w[4] == 0.0 and np.isfinite(cell.ce_w).all()
 
     def test_monte_carlo_ls_rejects_null_comb(self):
         # tau=0.5, beta=1.0 puts a comb bin on the FTN spectral null
@@ -98,25 +118,28 @@ class TestMmse:
 
     def test_default_prior_is_per_tap_power(self, scenario):
         # a sweep cell's MMSE weights use the prior 1/L, as theoretical_mse_mmse
-        # does; an LS cell carries none and estimate_channel then runs LS
+        # does; an LS cell carries the zero-noise weights, and perfect CSI none
         sv2 = ebn0_to_sigma_v2(scenario.cfg, 8.0)
         cell = build_cell(scenario, sv2)
-        np.testing.assert_array_equal(cell.mmse_w, mmse_weights(scenario.tables, sv2, 1 / 8))
-        assert build_cell(build_scenario(FtnConfig(ce_criterion="ls")), sv2).mmse_w is None
+        np.testing.assert_array_equal(cell.ce_w, mmse_weights(scenario.tables, sv2, 1 / 8))
+        ls_cell = build_cell(build_scenario(FtnConfig(ce_criterion="ls")), sv2)
+        np.testing.assert_array_equal(ls_cell.ce_w, mmse_weights(scenario.tables, 0.0, 1 / 8))
+        assert build_cell(build_scenario(FtnConfig(ce_criterion="perfect")), sv2).ce_w is None
         _, lambda_h = sample_channel(8, 128, make_rng(7))
         y_fd = received_fd(scenario, lambda_h, make_rng(8), sigma_v2=sv2)
         y_prime = extract_comb(y_fd, 16)
-        h_mmse, _ = estimate_channel(y_fd, scenario.tables, 8, cell.mmse_w)
-        np.testing.assert_array_equal(h_mmse, fd_to_td(cell.mmse_w * y_prime, 8))
-        h_ls, _ = estimate_channel(y_fd, scenario.tables, 8)
-        np.testing.assert_array_equal(h_ls, fd_to_td(ce_ls(y_prime, scenario.tables), 8))
+        for w in (cell.ce_w, ls_cell.ce_w):
+            h_hat, _ = estimate_channel(y_fd, scenario.tables, 8, w)
+            np.testing.assert_array_equal(h_hat, fd_to_td(w * y_prime, 8))
 
-    def test_zero_noise_coincides_with_ls(self, scenario):
-        _, lambda_h = sample_channel(8, 128, make_rng(7))
-        y_prime = extract_comb(received_fd(scenario, lambda_h, make_rng(8)), 16)
-        ls = ce_ls(y_prime, scenario.tables)
-        mm = ce_mmse(y_prime, mmse_weights(scenario.tables, 0.0, 1 / 8))
-        assert np.abs(ls - mm).max() < 1e-10
+    def test_zero_noise_coincides_with_ls(self):
+        # LS's Gamma^{-1} is the Wiener weight conj(gamma) / (|gamma|^2 + 0 phi')
+        for tau in np.linspace(0.5, 1.0, 11):
+            for beta in (0.2, 0.5):
+                tables = build_scenario(FtnConfig(tau=tau, beta=beta)).tables
+                inv = 1.0 / tables.gamma
+                rel = np.abs(ls_weights(tables) - inv) / np.abs(inv)
+                assert rel.max() <= 1e-15, (tau, beta, rel.max())
 
     def test_infinite_noise_shrinks_to_zero(self, scenario):
         y_prime = np.ones(8, complex)
@@ -168,7 +191,7 @@ class TestFdToTd:
         tables = chanest.CombTables(Q=4, gamma=np.ones(8, complex),
                                     phi_prime=np.ones(8))
         y = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        h, lam = estimate_channel(y, tables, 4)
+        h, lam = estimate_channel(y, tables, 4, ls_weights(tables, L=4))
         k = 5
         expected = np.sum(h * np.exp(-2j * np.pi * k * np.arange(4) / 32))
         assert lam[k] == pytest.approx(expected, abs=1e-12)
@@ -267,5 +290,5 @@ class TestInterferenceProperties:
             h, lambda_h = sample_channel(L, 64, make_rng(20 + L))
             x = compose_tx(np.zeros(64, complex), x_p, 8, sia=True)
             y_fd = transmit_fast(dft(x), lambda_h, lambda_g)
-            h_hat, _ = estimate_channel(y_fd, tables, L)
+            h_hat, _ = estimate_channel(y_fd, tables, L, ls_weights(tables, L))
             assert np.linalg.norm(h_hat - h) < 1e-9

@@ -202,7 +202,7 @@ class TestRunTrial:
         scenario = cell.scenario
         for name, arr in (("lambda_g", scenario.lambda_g), ("x_p", scenario.x_p),
                           ("noise_factor", scenario.noise_factor),
-                          ("phi_diag", scenario.phi_diag), ("mmse_w", cell.mmse_w),
+                          ("phi_diag", scenario.phi_diag), ("ce_w", cell.ce_w),
                           ("gamma", scenario.tables.gamma),
                           ("phi_prime", scenario.tables.phi_prime)):
             with pytest.raises(ValueError, match="read-only"):
@@ -377,7 +377,7 @@ def test_accepted_config_gives_finite_trials_or_documented_error(cfg):
             sv2 = ebn0_to_sigma_v2(cfg, ebn0)
             res = run_trial(build_cell(scenario, sv2), 0)
             assert np.isfinite([res.bit_errors, res.sq_err, res.tx_power]).all(), res
-            theory = harness._theory_mse(scenario, sv2)
+            theory = harness.theory_mse(scenario, sv2, cfg.ce_criterion)
             assert theory is None or np.isfinite(theory)
     except chanest.IllConditionedCombError:
         assert scenario.tables.bad_bins
@@ -437,6 +437,39 @@ class TestSimulateCeMse:
         simulate_ce_mse(replace(cfg, sia=False), 0.8, 0.1, 250)
         assert calls == [100 * cfg.N, 100 * cfg.N, 50 * cfg.N]
 
+    def test_unaligned_chunk_drawn_in_slices(self, monkeypatch):
+        # a 300-trial chunk drawn 100 trials at a time gives the draws of one
+        # slice: PCG64's raw words run on across calls
+        monkeypatch.setattr(harness, "_CE_CHUNK", 300)
+        cfg = FtnConfig(sia=False)
+        sv2 = ebn0_to_sigma_v2(cfg, 8.0)
+        whole = simulate_ce_mse(cfg, 0.8, sv2, 300, seed=5)
+        calls = []
+        real_bits = harness._qpsk_bits
+
+        def counted(*args):
+            calls.append(args[1])
+            return real_bits(*args)
+
+        monkeypatch.setattr(harness, "_DATA_SLICE", 100 * cfg.N)
+        monkeypatch.setattr(harness, "_qpsk_bits", counted)
+        sliced = simulate_ce_mse(cfg, 0.8, sv2, 300, seed=5)
+        assert calls == [100 * cfg.N] * 3
+        assert sliced == whole
+        want = ce_mse_reference(cfg, 0.8, sv2, 300, seed=5)
+        for crit in want:
+            np.testing.assert_allclose(sliced[crit], want[crit], rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("sia", [True, False])
+    def test_each_criterion_independent_of_the_others(self, sia):
+        # the stacked weights give each criterion the value it has alone, in any order
+        cfg = FtnConfig(sia=sia)
+        sv2 = ebn0_to_sigma_v2(cfg, 8.0)
+        runs = [simulate_ce_mse(cfg, 0.8, sv2, 500, criteria=c, seed=3)
+                for c in (("ls", "mmse"), ("mmse", "ls"), ("ls",), ("mmse",))]
+        for crit in ("ls", "mmse"):
+            assert len({r[crit] for r in runs if crit in r}) == 1, crit
+
     def test_no_full_length_transform_per_chunk(self, monkeypatch):
         # the whole chain, noise included, is on the P comb bins;
         # build_scenario's 1-d transforms are not counted
@@ -489,6 +522,18 @@ class TestSimulateCeMse:
         with pytest.raises(ValueError, match="lss"):
             simulate_ce_mse(FtnConfig(), 0.8, 0.1, 10, criteria=("lss",))
 
+    @pytest.mark.parametrize("criteria", [("ls", "ls"), ("mmse", "ls", "mmse"), ()])
+    def test_repeated_or_no_criterion_rejected(self, no_draws, criteria):
+        # a repeated criterion used to pool its errors twice (twice the mean,
+        # se 0), and none used to run every chunk and return {}
+        with pytest.raises(ValueError, match="distinct CE criteria"):
+            simulate_ce_mse(FtnConfig(), 0.8, 0.1, 10, criteria=criteria)
+
+    def test_ls_on_null_comb_rejected_before_any_draw(self, no_draws):
+        # tau=0.5, beta=1.0 puts a comb bin on the FTN spectral null
+        with pytest.raises(chanest.IllConditionedCombError):
+            simulate_ce_mse(FtnConfig(tau=0.5, beta=1.0), 0.5, 0.1, 10)
+
     @pytest.mark.parametrize("n_trials", [0, -5])
     def test_no_trials_rejected(self, no_draws, n_trials):
         with pytest.raises(ValueError, match="n_trials"):
@@ -528,6 +573,23 @@ class TestRunSweep:
         assert run_sweep(cfg).rows[0].mse_theory is not None
         assert run_sweep(replace(cfg, sia=False)).rows[0].mse_theory is None
         assert run_sweep(replace(cfg, ce_criterion="perfect")).rows[0].mse_theory is None
+
+    def test_theory_mse_picks_the_closed_form(self):
+        cfg = FtnConfig()
+        scenario = build_scenario(cfg)
+        sv2 = ebn0_to_sigma_v2(cfg, 8.0)
+        assert harness.theory_mse(scenario, sv2, "perfect") is None
+        off = build_scenario(replace(cfg, sia=False))
+        assert [harness.theory_mse(off, sv2, c) for c in ("ls", "mmse", "perfect")] == [None] * 3
+        assert (harness.theory_mse(scenario, sv2, "ls")
+                == chanest.theoretical_mse_ls(scenario.tables, cfg.L, sv2))
+        assert (harness.theory_mse(scenario, sv2, "mmse")
+                == chanest.theoretical_mse_mmse(scenario.tables, cfg.L, sv2))
+        # tau=0.5, beta=1.0 puts a comb bin on the FTN spectral null
+        null = build_scenario(replace(cfg, tau=0.5, beta=1.0))
+        with pytest.raises(chanest.IllConditionedCombError):
+            harness.theory_mse(null, sv2, "ls")
+        assert np.isfinite(harness.theory_mse(null, sv2, "mmse"))
 
     def test_measured_power_reported(self):
         cfg = replace(FtnConfig(), **FAST)
